@@ -10,8 +10,8 @@ use std::time::Duration;
 
 use cp_attention::{AttentionParams, GqaShape};
 use cp_comm::{Fabric, LinkModel};
-use cp_core::ring::{ring_pass_kv_prefill, ring_pass_kv_prefill_blocking};
-use cp_core::{LocalSeq, RingMsg};
+use cp_core::ring::ring_pass_kv_prefill;
+use cp_core::{LocalSeq, RingMsg, RingSpec};
 use cp_pool::ComputePool;
 use cp_tensor::DetRng;
 
@@ -46,15 +46,16 @@ fn run_ring(locals: &[Vec<LocalSeq>], link: LinkModel, overlapped: bool) {
         .link(link)
         .compute_pool((cores / CP).max(1))
         .run::<RingMsg, _, _>(|comm| {
-            let run = if overlapped {
-                ring_pass_kv_prefill
-            } else {
-                ring_pass_kv_prefill_blocking
+            let spec = RingSpec {
+                depth: usize::from(overlapped),
+                ..RingSpec::default()
             };
-            run(comm, &p, &locals[comm.rank()]).map_err(|e| cp_comm::CommError::RankFailed {
-                rank: comm.rank(),
-                kind: "bench",
-                detail: e.to_string(),
+            ring_pass_kv_prefill(comm, &p, &spec, &locals[comm.rank()]).map_err(|e| {
+                cp_comm::CommError::RankFailed {
+                    rank: comm.rank(),
+                    kind: "bench",
+                    detail: e.to_string(),
+                }
             })
         })
         .unwrap();

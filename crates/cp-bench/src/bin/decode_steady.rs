@@ -38,9 +38,9 @@ use std::time::{Duration, Instant};
 
 use cp_attention::{AttentionParams, GqaShape};
 use cp_core::ring::{
-    attn_block_for, helix_decode_kv, ring_pass_q_decode_kv, run_ring, tp_only_decode_kv, RankKv,
+    attn_block_for, helix_decode, ring_pass_q_decode, run_ring, tp_only_decode, RankKv,
 };
-use cp_core::{DecodeSlot, SeqKv};
+use cp_core::{DecodeSlot, RingSpec, SeqKv};
 use cp_kvcache::{KvCacheConfig, PagedKvCache, SeqId};
 use cp_perf::{choose_decode_strategy, DecodeStrategy, ModelSpec, TopologySpec};
 use cp_tensor::{DetRng, Tensor};
@@ -152,15 +152,15 @@ fn run_steps(
             };
             let kv = if mode == Mode::GatherPassQ {
                 let (k, v, pos) = cache.gather(SEQ)?;
-                [RankKv::tensors(SeqKv { k, v, pos })]
+                [SeqKv { k, v, pos }.into()]
             } else {
                 [RankKv::View(cache.view(SEQ)?)]
             };
             match mode {
                 Mode::GatherPassQ | Mode::ViewPassQ => {
-                    ring_pass_q_decode_kv(comm, params, &[slot], &kv)
+                    ring_pass_q_decode(comm, params, &RingSpec::default(), &[slot], &kv)
                 }
-                Mode::ViewHelix => helix_decode_kv(comm, params, &[slot], &kv),
+                Mode::ViewHelix => helix_decode(comm, params, &[slot], &kv),
                 Mode::ViewTpOnly => {
                     // The O(T) shard copy feeds the Kv AllGather; at
                     // W = 1 nothing is sent and the owner attends its
@@ -171,7 +171,7 @@ fn run_steps(
                     } else {
                         Vec::new()
                     };
-                    tp_only_decode_kv(comm, params, &[slot], &kv, &wire, attn_block)
+                    tp_only_decode(comm, params, &[slot], &kv, &wire, attn_block)
                 }
             }
         };

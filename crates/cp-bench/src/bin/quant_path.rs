@@ -32,10 +32,8 @@ use std::time::{Duration, Instant};
 
 use cp_attention::{AttentionParams, GqaShape};
 use cp_comm::{Fabric, LinkModel, TrafficReport, Wire};
-use cp_core::ring::{ring_pass_kv_prefill_on, ring_pass_kv_prefill_quant_on};
-use cp_core::schedule::RingLayout;
-use cp_core::RingMsg;
-use cp_core::{LocalSeq, QuantSeqKv, SeqKv};
+use cp_core::ring::ring_pass_kv_prefill;
+use cp_core::{LocalSeq, QuantSeqKv, RingMsg, RingSpec, RingWire, SeqKv};
 use cp_tensor::{DetRng, Tensor};
 
 /// Max abs error budget for INT8 symmetric per-(token, head) KV
@@ -93,16 +91,16 @@ fn run_ring(
     let start = Instant::now();
     let (outs, report) = fabric
         .run::<RingMsg, _, _>(|comm| {
-            let mine = &locals[comm.rank()];
-            let run = if quant {
-                ring_pass_kv_prefill_quant_on
-            } else {
-                ring_pass_kv_prefill_on
+            let spec = RingSpec {
+                wire: if quant { RingWire::Int8 } else { RingWire::F32 },
+                ..RingSpec::default()
             };
-            run(comm, &p, mine, RingLayout::Flat).map_err(|e| cp_comm::CommError::RankFailed {
-                rank: comm.rank(),
-                kind: "bench",
-                detail: e.to_string(),
+            ring_pass_kv_prefill(comm, &p, &spec, &locals[comm.rank()]).map_err(|e| {
+                cp_comm::CommError::RankFailed {
+                    rank: comm.rank(),
+                    kind: "bench",
+                    detail: e.to_string(),
+                }
             })
         })
         .expect("ring prefill failed");

@@ -698,7 +698,7 @@ fn trace(r: &mut Report) {
         use cp_attention::{AttentionParams, PAD};
         use cp_core::ring::{ring_pass_kv_prefill, run_ring};
         use cp_core::trace::measured_ring_trace;
-        use cp_core::LocalSeq;
+        use cp_core::{LocalSeq, RingSpec};
         use cp_sharding::ShardPlan;
 
         let t = 2048;
@@ -731,7 +731,7 @@ fn trace(r: &mut Report) {
             })
             .collect();
         let (_, report) = run_ring(n, |comm| {
-            ring_pass_kv_prefill(comm, &params, &locals[comm.rank()])
+            ring_pass_kv_prefill(comm, &params, &RingSpec::default(), &locals[comm.rank()])
         })
         .expect("measured prefill");
         let tr = measured_ring_trace(&report);

@@ -34,12 +34,9 @@ use std::time::{Duration, Instant};
 
 use cp_attention::{AttentionParams, GqaShape};
 use cp_comm::{Fabric, LinkModel, Topology, TrafficReport, Wire};
-use cp_core::ring::{
-    ring_pass_kv_prefill, ring_pass_kv_prefill_bidi, ring_pass_kv_prefill_blocking,
-    ring_pass_kv_prefill_on,
-};
+use cp_core::ring::ring_pass_kv_prefill;
 use cp_core::schedule::RingLayout;
-use cp_core::{LocalSeq, RingMsg, SeqKv};
+use cp_core::{LocalSeq, RingMsg, RingSpec, SeqKv};
 use cp_perf::schedule::{ranked_families, ScheduleFamily, TopologySpec};
 use cp_perf::{RingDirection, RingTopologyKind};
 use cp_pool::ComputePool;
@@ -108,18 +105,19 @@ fn run_once(
     if let Some(link) = link {
         fabric = fabric.link(link);
     }
+    let spec = RingSpec {
+        depth: usize::from(overlapped),
+        ..RingSpec::default()
+    };
     let start = Instant::now();
     let (_, report) = fabric
         .run::<RingMsg, _, _>(|comm| {
-            let run = if overlapped {
-                ring_pass_kv_prefill
-            } else {
-                ring_pass_kv_prefill_blocking
-            };
-            run(comm, &p, &locals[comm.rank()]).map_err(|e| cp_comm::CommError::RankFailed {
-                rank: comm.rank(),
-                kind: "bench",
-                detail: e.to_string(),
+            ring_pass_kv_prefill(comm, &p, &spec, &locals[comm.rank()]).map_err(|e| {
+                cp_comm::CommError::RankFailed {
+                    rank: comm.rank(),
+                    kind: "bench",
+                    detail: e.to_string(),
+                }
             })
         })
         .expect("ring prefill failed");
@@ -218,6 +216,20 @@ impl MatrixFamily {
             topology,
         }
     }
+
+    /// The ring schedule cell this run executes over `topo`.
+    fn spec(self, topo: Topology) -> RingSpec {
+        let family = self.model_family();
+        RingSpec {
+            direction: family.direction,
+            layout: match family.topology {
+                RingTopologyKind::Flat => RingLayout::Flat,
+                RingTopologyKind::Hierarchical => RingLayout::Hier(topo),
+            },
+            depth: if self == MatrixFamily::Chunked { 2 } else { 1 },
+            ..RingSpec::default()
+        }
+    }
 }
 
 /// Link regime applied to the whole fabric for one matrix column.
@@ -240,7 +252,7 @@ fn run_matrix_family(
     family: MatrixFamily,
 ) -> Duration {
     let p = params();
-    let topo = Topology::new(MATRIX_NODES, MATRIX_CP / MATRIX_NODES);
+    let spec = family.spec(Topology::new(MATRIX_NODES, MATRIX_CP / MATRIX_NODES));
     let mut best: Option<Duration> = None;
     for _ in 0..reps {
         let mut fabric = Fabric::new(MATRIX_CP).compute_pool(pool_threads_per_rank());
@@ -248,31 +260,15 @@ fn run_matrix_family(
             MatrixLinks::Uniform(link) => fabric.link(link),
             MatrixLinks::Asymmetric { topo, intra, cross } => fabric.topology(topo, intra, cross),
         };
-        if family == MatrixFamily::Chunked {
-            fabric = fabric.pipeline_depth(2);
-        }
         let start = Instant::now();
         fabric
             .run::<RingMsg, _, _>(|comm| {
-                let mine = &locals[comm.rank()];
-                let layout = match family {
-                    MatrixFamily::UniHier | MatrixFamily::BidiHier => RingLayout::Hier(topo),
-                    _ => RingLayout::Flat,
-                };
-                match family {
-                    MatrixFamily::UniFlat | MatrixFamily::UniHier => {
-                        ring_pass_kv_prefill_on(comm, &p, mine, layout)
+                ring_pass_kv_prefill(comm, &p, &spec, &locals[comm.rank()]).map_err(|e| {
+                    cp_comm::CommError::RankFailed {
+                        rank: comm.rank(),
+                        kind: "bench",
+                        detail: e.to_string(),
                     }
-                    MatrixFamily::BidiFlat | MatrixFamily::BidiHier => {
-                        ring_pass_kv_prefill_bidi(comm, &p, mine, layout)
-                    }
-                    // Depth-2 selected by the fabric's pipeline flag.
-                    MatrixFamily::Chunked => ring_pass_kv_prefill(comm, &p, mine),
-                }
-                .map_err(|e| cp_comm::CommError::RankFailed {
-                    rank: comm.rank(),
-                    kind: "bench",
-                    detail: e.to_string(),
                 })
             })
             .expect("matrix prefill failed");

@@ -174,10 +174,12 @@ impl<M> Envelope<M> {
 pub struct Communicator<M: Wire> {
     rank: usize,
     world: usize,
+    /// `receivers[src]` yields messages sent by rank `src`. Declared (and
+    /// therefore dropped) before `senders`: once a peer observes this
+    /// rank's exit as a failed `recv`, its sends to this rank fail too.
+    receivers: Vec<Receiver<Envelope<M>>>,
     /// `senders[dst]` delivers to rank `dst`'s `receivers[self.rank]`.
     senders: Vec<Sender<Envelope<M>>>,
-    /// `receivers[src]` yields messages sent by rank `src`.
-    receivers: Vec<Receiver<Envelope<M>>>,
     ctrl_senders: Vec<Sender<()>>,
     ctrl_receivers: Vec<Receiver<()>>,
     recv_timeout: Duration,
@@ -191,10 +193,6 @@ pub struct Communicator<M: Wire> {
     /// genuinely overlap. Indexed by `dst`; only this rank sends on these
     /// channels, so a local lock suffices.
     link_busy: Mutex<Vec<Option<Instant>>>,
-    /// Ring pipelining depth requested by [`Fabric::pipeline_depth`];
-    /// ring loops split hop payloads into this many chunks and keep that
-    /// many hops in flight. 1 = classic double-buffered ring.
-    pipeline_depth: usize,
     /// Plan cursor when running under a [`CheckedFabric`]; `None` in
     /// unchecked mode.
     checker: Option<Mutex<PlanChecker>>,
@@ -225,13 +223,6 @@ impl<M: Wire> Communicator<M> {
     /// The previous rank around the ring (`rank - 1 mod N`).
     pub fn ring_prev(&self) -> usize {
         (self.rank + self.world - 1) % self.world
-    }
-
-    /// Ring pipelining depth configured on the fabric (≥ 1). Ring loops
-    /// consult this to decide whether to split hop payloads into chunks
-    /// and keep multiple hops in flight (cut-through forwarding).
-    pub fn pipeline_depth(&self) -> usize {
-        self.pipeline_depth.max(1)
     }
 
     /// The link model governing this rank's channel to `dst`, if any.
@@ -888,7 +879,6 @@ fn build_communicators<M: Wire>(
     world: usize,
     recv_timeout: Duration,
     links: LinkPolicy,
-    pipeline_depth: usize,
     pool_threads: usize,
     plan: Option<&CommPlan>,
     stats: &Arc<TrafficStats>,
@@ -958,7 +948,6 @@ fn build_communicators<M: Wire>(
             recv_timeout,
             links,
             link_busy: Mutex::new(vec![None; world]),
-            pipeline_depth,
             checker: checkers.get_mut(rank).and_then(Option::take),
             stats: Arc::clone(stats),
             pool: OnceLock::new(),
@@ -992,7 +981,6 @@ pub struct Fabric {
     world: usize,
     recv_timeout: Duration,
     links: LinkPolicy,
-    pipeline_depth: usize,
     pool_threads: usize,
 }
 
@@ -1004,7 +992,6 @@ impl Fabric {
             world,
             recv_timeout: DEFAULT_RECV_TIMEOUT,
             links: LinkPolicy::default(),
-            pipeline_depth: 1,
             pool_threads: 0,
         }
     }
@@ -1032,15 +1019,6 @@ impl Fabric {
     /// schedules measurably cheaper than flat ones.
     pub fn topology(mut self, topo: Topology, intra: LinkModel, cross: LinkModel) -> Self {
         self.links = LinkPolicy::Topo { topo, intra, cross };
-        self
-    }
-
-    /// Requests depth-`n` ring pipelining: ring loops split each hop
-    /// payload into `n` chunks and keep `n` sends in flight per hop, so a
-    /// chunk is forwarded before its siblings have arrived (cut-through).
-    /// Depth 1 (the default) is the classic double-buffered ring.
-    pub fn pipeline_depth(mut self, depth: usize) -> Self {
-        self.pipeline_depth = depth.max(1);
         self
     }
 
@@ -1084,7 +1062,6 @@ impl Fabric {
             self.world,
             self.recv_timeout,
             self.links,
-            self.pipeline_depth,
             self.pool_threads,
             plan,
             &stats,
@@ -1204,12 +1181,6 @@ impl CheckedFabric {
     /// Installs a heterogeneous interconnect, as [`Fabric::topology`].
     pub fn topology(mut self, topo: Topology, intra: LinkModel, cross: LinkModel) -> Self {
         self.fabric = self.fabric.topology(topo, intra, cross);
-        self
-    }
-
-    /// Requests depth-`n` ring pipelining, as [`Fabric::pipeline_depth`].
-    pub fn pipeline_depth(mut self, depth: usize) -> Self {
-        self.fabric = self.fabric.pipeline_depth(depth);
         self
     }
 

@@ -110,6 +110,7 @@ pub fn all_gather_pass_kv_prefill(
 mod tests {
     use super::*;
     use crate::ring::{ring_pass_kv_prefill, run_ring};
+    use crate::RingSpec;
     use cp_attention::{GqaShape, PAD};
     use cp_sharding::ShardPlan;
     use cp_tensor::DetRng;
@@ -153,7 +154,7 @@ mod tests {
         })
         .unwrap();
         let (ring, ring_report) = run_ring(n, |comm| {
-            ring_pass_kv_prefill(comm, &params, &locals[comm.rank()])
+            ring_pass_kv_prefill(comm, &params, &RingSpec::default(), &locals[comm.rank()])
         })
         .unwrap();
 

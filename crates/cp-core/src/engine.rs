@@ -3,59 +3,21 @@
 use std::collections::HashMap;
 
 use cp_attention::{AttentionOutput, AttentionParams, GqaShape, PAD};
-use cp_comm::{Topology, TrafficReport};
+use cp_comm::TrafficReport;
 use cp_kvcache::{KvCacheConfig, PagedKvCache, QuantKvCache, SeqId};
-use cp_perf::schedule::{
-    choose_decode_strategy, choose_family, hop_bytes_per_layer, quant_kv_hop_bytes_per_layer,
-};
-use cp_perf::{DecodeStrategy, RingDirection, RingTopologyKind, RingVariant, TopologySpec};
+use cp_perf::{DecodeStrategy, RingDirection, RingVariant, TopologySpec};
 use cp_sharding::{decode_round_robin, shard_varseq_with, SequenceSpec, ShardStrategy};
 use cp_tensor::Tensor;
 
 use crate::heuristics::{choose_variant, HeuristicKind, SystemContext};
 use crate::messages::{DecodeSlot, LocalSeq, SeqKv, SeqQ};
 use crate::ring::{
-    attn_block_for, helix_decode_kv, ring_pass_kv_prefill_bidi, ring_pass_kv_prefill_on,
-    ring_pass_kv_prefill_quant_bidi, ring_pass_kv_prefill_quant_on, ring_pass_q_decode_bidi_kv,
-    ring_pass_q_decode_kv, ring_pass_q_prefill_bidi_kv, ring_pass_q_prefill_kv_on, run_ring,
-    tp_only_decode_kv, RankKv,
+    attn_block_for, helix_decode, ring_pass_kv_prefill, ring_pass_q_decode, ring_pass_q_prefill,
+    run_ring, tp_only_decode, RankKv,
 };
 use crate::schedule::RingLayout;
+use crate::spec::SchedulePolicy;
 use crate::CoreError;
-
-/// How the engine picks the ring *schedule family* (payload direction ×
-/// link layout) for its prefill and decode rings. Orthogonal to the
-/// pass-KV/pass-Q variant choice: every family is bit-exact for both
-/// variants, so the variant decides what circulates and the family only
-/// decides how it is routed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SchedulePolicy {
-    /// Always use this direction and layout. The default —
-    /// unidirectional over the flat ring — is the paper's schedule and
-    /// preserves the classic behaviour exactly.
-    Fixed {
-        /// Payload routing direction.
-        direction: RingDirection,
-        /// Ring layout (flat, or hierarchical over a node topology).
-        layout: RingLayout,
-    },
-    /// Fold family selection into the prefill heuristic: per ring round,
-    /// the analytic link model prices all four families for the chosen
-    /// variant's payload on this topology and takes the cheapest.
-    Auto {
-        /// Link topology of the CP ranks (`world` must equal `n_ranks`).
-        topo: TopologySpec,
-    },
-}
-
-impl Default for SchedulePolicy {
-    fn default() -> Self {
-        SchedulePolicy::Fixed {
-            direction: RingDirection::Uni,
-            layout: RingLayout::Flat,
-        }
-    }
-}
 
 /// Precision of the KV-cache hot path and the pass-KV wire format.
 ///
@@ -99,18 +61,9 @@ pub struct EngineConfig {
     pub heuristic: HeuristicKind,
     /// System context the heuristic evaluates against.
     pub system: SystemContext,
-    /// Simulate INT8 KV-cache quantization (§2.2): K/V go through a
-    /// quantize→dequantize round trip before caching, modelling the
-    /// accuracy cost of the 4x memory saving without changing storage.
-    pub simulate_kv_quant: bool,
     /// How new tokens are partitioned over ranks (ablations; the default
     /// is the paper's 2N-chunk load-balanced plan).
     pub shard_strategy: ShardStrategy,
-    /// Gather per-sequence KV into fresh contiguous tensors on the pass-Q
-    /// prefill and decode hot paths instead of attending the paged caches
-    /// in place through zero-copy views (A/B comparison knob; both paths
-    /// use the same KV block size and are bit-identical).
-    pub gather_hot_kv: bool,
     /// Ring schedule family selection (direction × layout).
     pub schedule: SchedulePolicy,
     /// KV storage / wire precision (see [`KvPrecision`]).
@@ -133,9 +86,7 @@ impl EngineConfig {
             max_pages_per_rank: None,
             heuristic: HeuristicKind::Threshold,
             system: SystemContext::llama3_405b_gtt(n_ranks.max(1)),
-            simulate_kv_quant: false,
             shard_strategy: ShardStrategy::LoadBalanced,
-            gather_hot_kv: false,
             schedule: SchedulePolicy::default(),
             kv_precision: KvPrecision::default(),
             decode_strategy: None,
@@ -166,23 +117,9 @@ impl EngineConfig {
         self
     }
 
-    /// Enables simulated INT8 KV-cache quantization.
-    pub fn with_simulated_kv_quant(mut self) -> Self {
-        self.simulate_kv_quant = true;
-        self
-    }
-
     /// Sets the sharding strategy (ablations; exactness holds for all).
     pub fn with_shard_strategy(mut self, strategy: ShardStrategy) -> Self {
         self.shard_strategy = strategy;
-        self
-    }
-
-    /// Switches the pass-Q prefill and decode hot paths back to per-step
-    /// `gather()` copies (A/B comparison against the default zero-copy
-    /// views; bit-identical results).
-    pub fn with_gathered_hot_kv(mut self, enabled: bool) -> Self {
-        self.gather_hot_kv = enabled;
         self
     }
 
@@ -308,39 +245,15 @@ impl ContextParallelEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::BadRequest`] if `n_ranks == 0`.
+    /// Returns [`CoreError::BadRequest`] if `n_ranks == 0` or the schedule
+    /// policy's topology does not cover the ranks.
     pub fn new(config: EngineConfig) -> Result<Self, CoreError> {
         if config.n_ranks == 0 {
             return Err(CoreError::BadRequest {
                 reason: "engine needs at least one rank".to_string(),
             });
         }
-        match config.schedule {
-            SchedulePolicy::Fixed {
-                layout: RingLayout::Hier(topo),
-                ..
-            } if topo.world() != config.n_ranks => {
-                return Err(CoreError::BadRequest {
-                    reason: format!(
-                        "hierarchical layout covers {} ranks ({} nodes x {}) but the engine has {}",
-                        topo.world(),
-                        topo.nodes,
-                        topo.ranks_per_node,
-                        config.n_ranks
-                    ),
-                });
-            }
-            SchedulePolicy::Auto { ref topo } if topo.world() != config.n_ranks => {
-                return Err(CoreError::BadRequest {
-                    reason: format!(
-                        "auto-schedule topology covers {} ranks but the engine has {}",
-                        topo.world(),
-                        config.n_ranks
-                    ),
-                });
-            }
-            _ => {}
-        }
+        config.schedule.validate(config.n_ranks)?;
         let mut cache_cfg = KvCacheConfig::new(
             config.page_size,
             config.shape.n_kv_heads(),
@@ -387,67 +300,6 @@ impl ContextParallelEngine {
     /// The system context the engine's heuristic evaluates against.
     pub fn system_context(&self) -> &SystemContext {
         &self.config.system
-    }
-
-    /// Resolves the schedule policy to a concrete `(direction, layout)`
-    /// for this round. `Fixed` is returned as-is; `Auto` prices all four
-    /// families for `variant`'s per-hop payload at `(t, p)` on the
-    /// configured link topology and takes the cheapest (ties prefer the
-    /// simpler family).
-    fn resolve_schedule(
-        &self,
-        variant: RingVariant,
-        t: usize,
-        p: usize,
-    ) -> (RingDirection, RingLayout) {
-        match &self.config.schedule {
-            SchedulePolicy::Fixed { direction, layout } => (*direction, *layout),
-            SchedulePolicy::Auto { topo } => {
-                // Compressed pass-KV hops carry the INT8 wire format, so
-                // Auto prices the smaller payload when pricing families.
-                let bytes = match (variant, self.config.kv_precision) {
-                    (RingVariant::PassKv, KvPrecision::Int8Wire | KvPrecision::Int8Total) => {
-                        quant_kv_hop_bytes_per_layer(&self.config.system.model, topo.world(), t, p)
-                    }
-                    _ => {
-                        hop_bytes_per_layer(&self.config.system.model, variant, topo.world(), t, p)
-                    }
-                };
-                let family = choose_family(topo, bytes);
-                let layout = match family.topology {
-                    RingTopologyKind::Flat => RingLayout::Flat,
-                    RingTopologyKind::Hierarchical => {
-                        RingLayout::Hier(Topology::new(topo.nodes, topo.ranks_per_node))
-                    }
-                };
-                (family.direction, layout)
-            }
-        }
-    }
-
-    /// Resolves the decode strategy for a step over `ctx_total` cached
-    /// context tokens (summed across the batch) and `batch` sequences: a
-    /// pinned strategy wins, `Auto` prices all three on the configured
-    /// topology, and a fixed schedule defaults to the paper's pass-Q.
-    fn resolve_decode_strategy(&self, ctx_total: usize, batch: usize) -> DecodeStrategy {
-        if let Some(strategy) = self.config.decode_strategy {
-            return strategy;
-        }
-        match &self.config.schedule {
-            SchedulePolicy::Fixed { .. } => DecodeStrategy::PassQ,
-            SchedulePolicy::Auto { topo } => {
-                choose_decode_strategy(&self.config.system.model, topo, ctx_total, batch)
-            }
-        }
-    }
-
-    /// Applies the simulated INT8 quantization round trip when enabled.
-    fn maybe_quantize(&self, kv: Tensor) -> Result<Tensor, CoreError> {
-        if self.config.simulate_kv_quant {
-            Ok(cp_kvcache::QuantizedKv::quantize(&kv)?.dequantize())
-        } else {
-            Ok(kv)
-        }
     }
 
     /// Total context length (cached tokens) of a sequence.
@@ -713,28 +565,15 @@ impl ContextParallelEngine {
                     .iter()
                     .map(|&pos| pos - spec.cached_tokens)
                     .collect();
-                if self.config.simulate_kv_quant {
-                    // The quantize->dequantize simulation needs a staged
-                    // round trip through a contiguous tensor.
-                    let k_rows = self.maybe_quantize(req.k.gather_dim0(&rows)?)?;
-                    let v_rows = self.maybe_quantize(req.v.gather_dim0(&rows)?)?;
-                    rank_input_mut(&mut self.caches, rank)?.append(
-                        req.seq,
-                        &k_rows,
-                        &v_rows,
-                        &entry.positions,
-                    )?;
-                } else {
-                    // In-place paged append: each selected row lands
-                    // straight in its page slot, no staging tensor.
-                    rank_input_mut(&mut self.caches, rank)?.append_rows(
-                        req.seq,
-                        req.k,
-                        req.v,
-                        &rows,
-                        &entry.positions,
-                    )?;
-                }
+                // In-place paged append: each selected row lands straight
+                // in its page slot, no staging tensor.
+                rank_input_mut(&mut self.caches, rank)?.append_rows(
+                    req.seq,
+                    req.k,
+                    req.v,
+                    &rows,
+                    &entry.positions,
+                )?;
                 if self.config.kv_precision == KvPrecision::Int8Total {
                     // Quantize-on-append into the INT8 pool (token-local
                     // scales computed in the page slot).
@@ -759,7 +598,15 @@ impl ContextParallelEngine {
         let variant = forced_variant.unwrap_or_else(|| {
             choose_variant(self.config.heuristic, &self.config.system, t_total, p_total)
         });
-        let (direction, layout) = self.resolve_schedule(variant, t_total, p_total);
+        // Both INT8 levels compress the circulating pass-KV blocks:
+        // origins quantize once, hops relay codes verbatim.
+        let spec = self.config.schedule.resolve(
+            &self.config.system,
+            self.config.kv_precision,
+            variant,
+            t_total,
+            p_total,
+        );
 
         let params = self.params;
         let (rank_outputs, traffic) = match variant {
@@ -810,29 +657,12 @@ impl ContextParallelEngine {
                     }
                     locals.push(rank_locals);
                 }
-                // Both INT8 levels compress the circulating KV blocks:
-                // origins quantize once, hops relay codes verbatim.
-                let compressed = self.config.kv_precision != KvPrecision::F32;
                 run_ring(n, |comm| {
                     let mine = rank_input(&locals, comm.rank())?;
-                    match (direction, compressed) {
-                        (RingDirection::Uni, false) => {
-                            ring_pass_kv_prefill_on(comm, &params, mine, layout)
-                        }
-                        (RingDirection::Bidi, false) => {
-                            ring_pass_kv_prefill_bidi(comm, &params, mine, layout)
-                        }
-                        (RingDirection::Uni, true) => {
-                            ring_pass_kv_prefill_quant_on(comm, &params, mine, layout)
-                        }
-                        (RingDirection::Bidi, true) => {
-                            ring_pass_kv_prefill_quant_bidi(comm, &params, mine, layout)
-                        }
-                    }
+                    ring_pass_kv_prefill(comm, &params, &spec, mine)
                 })?
             }
             RingVariant::PassQ => {
-                let attn_block = attn_block_for(self.config.page_size);
                 let total_quant = self.total_quant();
                 let mut queries: Vec<Vec<SeqQ>> = Vec::with_capacity(n);
                 let mut kvs: Vec<Vec<RankKv<'_>>> = Vec::with_capacity(n);
@@ -854,9 +684,6 @@ impl ContextParallelEngine {
                             // Attend the INT8 pages in place; the kernel
                             // dequantizes per head into reused scratch.
                             RankKv::QuantView(rank_input(&self.qcaches, rank)?.view(req.seq)?)
-                        } else if self.config.gather_hot_kv {
-                            let (k, v, pos) = cache.gather(req.seq)?;
-                            RankKv::tensors_blocked(SeqKv { k, v, pos }, attn_block)
                         } else {
                             RankKv::View(cache.view(req.seq)?)
                         });
@@ -867,14 +694,7 @@ impl ContextParallelEngine {
                 run_ring(n, |comm| {
                     let my_q = rank_input(&queries, comm.rank())?;
                     let my_kv = rank_input(&kvs, comm.rank())?;
-                    match direction {
-                        RingDirection::Uni => {
-                            ring_pass_q_prefill_kv_on(comm, &params, my_q, my_kv, layout)
-                        }
-                        RingDirection::Bidi => {
-                            ring_pass_q_prefill_bidi_kv(comm, &params, my_q, my_kv, layout)
-                        }
-                    }
+                    ring_pass_q_prefill(comm, &params, &spec, my_q, my_kv)
                 })?
             }
         };
@@ -963,11 +783,9 @@ impl ContextParallelEngine {
             let rank = assignment.rank_of(b);
             let pos = self.context_len(*seq)?;
             ctx_total += pos + 1;
-            let kq = self.maybe_quantize(k.clone())?;
-            let vq = self.maybe_quantize(v.clone())?;
-            rank_input_mut(&mut self.caches, rank)?.append(*seq, &kq, &vq, &[pos])?;
+            rank_input_mut(&mut self.caches, rank)?.append(*seq, k, v, &[pos])?;
             if self.config.kv_precision == KvPrecision::Int8Total {
-                rank_input_mut(&mut self.qcaches, rank)?.append(*seq, &kq, &vq, &[pos])?;
+                rank_input_mut(&mut self.qcaches, rank)?.append(*seq, k, v, &[pos])?;
             }
             rank_input_mut(&mut slots, rank)?.push(Some(DecodeSlot {
                 bid: b,
@@ -981,9 +799,7 @@ impl ContextParallelEngine {
 
         // Borrow every rank's local shard of every batched sequence as a
         // zero-copy view (the decode hot path: no per-step per-layer O(P)
-        // gather), or gather owned tensors in A/B mode — both attended
-        // with the same KV block size, so they are bit-identical.
-        let attn_block = attn_block_for(self.config.page_size);
+        // gather).
         let total_quant = self.total_quant();
         let mut batch_kv: Vec<Vec<RankKv<'_>>> = Vec::with_capacity(n);
         for (rank, cache) in self.caches.iter().enumerate() {
@@ -991,9 +807,6 @@ impl ContextParallelEngine {
             for (seq, ..) in batch {
                 kvs.push(if total_quant {
                     RankKv::QuantView(rank_input(&self.qcaches, rank)?.view(*seq)?)
-                } else if self.config.gather_hot_kv {
-                    let (k, v, pos) = cache.gather(*seq)?;
-                    RankKv::tensors_blocked(SeqKv { k, v, pos }, attn_block)
                 } else {
                     RankKv::View(cache.view(*seq)?)
                 });
@@ -1005,7 +818,12 @@ impl ContextParallelEngine {
         // rank's owned per-sequence shard for the KV AllGather wire (the
         // dequantized INT8 pages under `Int8Total`, so owned re-attention
         // matches the quant-view path bit-for-bit).
-        let strategy = self.resolve_decode_strategy(ctx_total, batch.len());
+        let (strategy, spec) = self.config.schedule.resolve_decode(
+            &self.config.system,
+            self.config.decode_strategy,
+            ctx_total,
+            batch.len(),
+        );
         let wire_kv: Option<Vec<Vec<SeqKv>>> = if strategy == DecodeStrategy::TpOnly && n > 1 {
             let mut per_rank = Vec::with_capacity(n);
             for rank in 0..n {
@@ -1031,28 +849,20 @@ impl ContextParallelEngine {
             None
         };
 
-        // The decode ring circulates tiny per-slot queries; only the
-        // direction matters (the batched All2All return is layout-free,
-        // so the decode loops are flat-only).
-        let (direction, _) = self.resolve_schedule(RingVariant::PassQ, batch.len(), 0);
+        let attn_block = attn_block_for(self.config.page_size);
         let params = self.params;
         let (rank_outputs, traffic) = run_ring(n, |comm| {
             let my_slots = rank_input(&slots, comm.rank())?;
             let my_kv = rank_input(&batch_kv, comm.rank())?;
             match strategy {
-                DecodeStrategy::PassQ => match direction {
-                    RingDirection::Uni => ring_pass_q_decode_kv(comm, &params, my_slots, my_kv),
-                    RingDirection::Bidi => {
-                        ring_pass_q_decode_bidi_kv(comm, &params, my_slots, my_kv)
-                    }
-                },
-                DecodeStrategy::Helix => helix_decode_kv(comm, &params, my_slots, my_kv),
+                DecodeStrategy::PassQ => ring_pass_q_decode(comm, &params, &spec, my_slots, my_kv),
+                DecodeStrategy::Helix => helix_decode(comm, &params, my_slots, my_kv),
                 DecodeStrategy::TpOnly => {
                     let wire = match &wire_kv {
                         Some(w) => rank_input(w, comm.rank())?.as_slice(),
                         None => &[],
                     };
-                    tp_only_decode_kv(comm, &params, my_slots, my_kv, wire, attn_block)
+                    tp_only_decode(comm, &params, my_slots, my_kv, wire, attn_block)
                 }
             }
         })?;
@@ -1095,6 +905,7 @@ impl ContextParallelEngine {
 mod tests {
     use super::*;
     use crate::baseline::single_device_prefill;
+    use cp_comm::Topology;
     use cp_tensor::DetRng;
 
     fn shape() -> GqaShape {
@@ -1510,29 +1321,6 @@ mod tests {
     }
 
     #[test]
-    fn simulated_kv_quant_stays_close_to_exact() {
-        let n = 2;
-        let mut rng = DetRng::new(23);
-        let (q, k, v) = qkv(&mut rng, 32);
-        let exact = {
-            let mut eng = engine(n);
-            eng.full_prefill(SeqId(0), &q, &k, &v).unwrap().output
-        };
-        let quant = {
-            let mut eng = ContextParallelEngine::new(
-                EngineConfig::new(n, shape())
-                    .with_page_size(4)
-                    .with_simulated_kv_quant(),
-            )
-            .unwrap();
-            eng.full_prefill(SeqId(0), &q, &k, &v).unwrap().output
-        };
-        let err = exact.out.max_abs_diff(&quant.out).unwrap();
-        assert!(err > 0.0, "quantization should perturb something");
-        assert!(err < 0.02, "quantization error too large: {err}");
-    }
-
-    #[test]
     fn int8_wire_pass_kv_compresses_traffic_and_stays_close() {
         let n = 4;
         let t = 64; // divisible by 2N: ring_len = t/n per rank
@@ -1686,49 +1474,6 @@ mod tests {
                 outcome.output.out.approx_eq(&reference.out, 2e-3).unwrap(),
                 "{strategy:?}"
             );
-        }
-    }
-
-    #[test]
-    fn view_and_gather_hot_paths_are_bit_identical() {
-        // Multi-turn pass-Q prefill + decode across ragged page boundaries:
-        // the zero-copy view path must match the gather path bit for bit
-        // (same KV block size, same arithmetic, different storage walk).
-        let run = |gather: bool| {
-            let mut cfg = EngineConfig::new(3, shape()).with_page_size(4);
-            if gather {
-                cfg = cfg.with_gathered_hot_kv(true);
-            }
-            let mut eng = ContextParallelEngine::new(cfg).unwrap();
-            let mut rng = DetRng::new(77);
-            let (q, k, v) = qkv(&mut rng, 21); // 21 % 4 != 0: ragged last pages
-            eng.full_prefill(SeqId(0), &q, &k, &v).unwrap();
-            let (q2, k2, v2) = qkv(&mut rng, 9);
-            let turn = eng
-                .prefill_batch(
-                    &[PrefillRequest {
-                        seq: SeqId(0),
-                        q: &q2,
-                        k: &k2,
-                        v: &v2,
-                    }],
-                    Some(RingVariant::PassQ),
-                )
-                .unwrap()
-                .remove(0);
-            let mut outs = vec![turn.output];
-            for _ in 0..3 {
-                let (q1, k1, v1) = qkv(&mut rng, 1);
-                let mut step = eng.decode_step(&[(SeqId(0), q1, k1, v1)]).unwrap();
-                outs.push(step.outputs.remove(0));
-            }
-            outs
-        };
-        let view = run(false);
-        let gather = run(true);
-        for (a, b) in view.iter().zip(&gather) {
-            assert_eq!(a.out.as_slice(), b.out.as_slice());
-            assert_eq!(a.lse.as_slice(), b.lse.as_slice());
         }
     }
 

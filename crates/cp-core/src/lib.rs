@@ -65,11 +65,11 @@ mod projector;
 pub mod ring;
 pub mod schedule;
 mod session;
+mod spec;
 pub mod trace;
 
 pub use engine::{
-    ContextParallelEngine, DecodeOutcome, EngineConfig, KvPrecision, PrefillOutcome,
-    PrefillRequest, SchedulePolicy,
+    ContextParallelEngine, DecodeOutcome, EngineConfig, KvPrecision, PrefillOutcome, PrefillRequest,
 };
 pub use error::CoreError;
 pub use heuristics::{HeuristicKind, SystemContext};
@@ -78,3 +78,4 @@ pub use messages::{
 };
 pub use projector::ToyProjector;
 pub use session::{ChatSession, TurnStats};
+pub use spec::{RingSpec, RingWire, SchedulePolicy};

@@ -35,6 +35,24 @@ impl LocalSeq {
     pub fn real_kv(&self) -> usize {
         self.kv_pos.iter().filter(|&&p| p != PAD).count()
     }
+
+    /// The local KV shard as a circulating block. Tensor clones are O(1)
+    /// `Arc` handle copies: the block views this shard's buffers.
+    pub fn kv(&self) -> SeqKv {
+        SeqKv {
+            k: self.k.clone(),
+            v: self.v.clone(),
+            pos: self.kv_pos.clone(),
+        }
+    }
+
+    /// The local queries as a circulating block (O(1) handle clones).
+    pub fn queries(&self) -> SeqQ {
+        SeqQ {
+            q: self.q.clone(),
+            pos: self.q_pos.clone(),
+        }
+    }
 }
 
 /// One sequence's circulating KV block.

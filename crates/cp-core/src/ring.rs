@@ -1,10 +1,22 @@
 //! The paper's ring attention algorithms, exactly as run on each CP rank.
 //!
-//! Each function here is the body one rank executes inside a
+//! Each entry point here is the body one rank executes inside a
 //! [`cp_comm::run_ranks`] group. Inputs are the rank's local shards;
 //! outputs are that rank's attention results, exact to floating point
 //! against a single-device computation (the integration and property test
 //! suites pin this for every algorithm).
+//!
+//! All three algorithms (Alg. 2–4) run on **one** round loop
+//! (`ring_rounds`). A [`RingSpec`] names the schedule cell; it resolves
+//! to one or two [`RingPath`] lanes (one forward lane, a forward/reverse
+//! pair carrying the two halves of every payload, or — at depth 2 — two
+//! forward lanes carrying its two chunks). A `Payload` codec puts the
+//! circulating block on the wire and takes it back off, naming the peer
+//! on a protocol or rotation violation; a `Visitor` supplies what the
+//! algorithm does with each visiting block (pass-KV attends and folds,
+//! pass-Q attends and returns eagerly, decode attends and stashes for the
+//! shared `All2All` tail). The loop issues exactly the traffic
+//! [`crate::schedule::ring_plan`] declares for the same cell.
 //!
 //! Attention within the ring uses the flash-style blocked kernel from
 //! `cp-attention`; the per-sequence structure of fused variable-length
@@ -15,7 +27,7 @@ use cp_attention::{
     blocked_gqa_attention_on, blocked_gqa_attention_source, AttentionOutput, AttentionParams,
     KvSource,
 };
-use cp_comm::Communicator;
+use cp_comm::{Communicator, PendingRecv};
 use cp_kvcache::{KvView, QuantKvView};
 use cp_pool::ComputePool;
 use cp_tensor::Tensor;
@@ -24,8 +36,11 @@ use crate::error::to_comm_error;
 use crate::messages::{
     split_slot_vec, DecodeSlot, LocalSeq, QuantSeqKv, RingMsg, SeqKv, SeqOut, SeqQ,
 };
-use crate::schedule::{defer_return, hop_channels, ring_origin, RingLayout, RingPath};
+use crate::schedule::{defer_return, hop_channels, RingPath};
+use crate::spec::{LanePlan, RingAlgo, RingSpec, RingWire};
 use crate::CoreError;
+
+type Comm = Communicator<RingMsg>;
 
 /// KV block size for the flash-style kernel inside ring loops.
 const ATTN_BLOCK: usize = 128;
@@ -34,8 +49,8 @@ const ATTN_BLOCK: usize = 128;
 /// `page_size` tokens: [`ATTN_BLOCK`] rounded up to a whole number of pages,
 /// so every online-softmax block walks complete pages. The blocked kernel's
 /// arithmetic depends only on block boundaries (never on storage layout), so
-/// a gather-mode twin using this same value is bit-identical to the view
-/// path.
+/// owned tensors attended with this same value are bit-identical to the
+/// view path.
 pub fn attn_block_for(page_size: usize) -> usize {
     if page_size == 0 {
         ATTN_BLOCK
@@ -47,11 +62,14 @@ pub fn attn_block_for(page_size: usize) -> usize {
 /// One rank's stationary KV for a ring algorithm: either owned (gathered or
 /// wire-received) tensors, or a zero-copy [`KvView`] borrowed straight from
 /// the rank's paged cache. Views are what keep `gather()` off the decode
-/// hot path; owned tensors remain for circulating wire payloads and for
-/// gather-mode A/B comparison.
+/// hot path; owned tensors remain for wire-received shards and for callers
+/// that hold plain tensors (`SeqKv::into()` attends with the default
+/// block).
 #[derive(Debug, Clone)]
 pub enum RankKv<'a> {
     /// Contiguous owned K/V tensors, attended with an explicit KV block.
+    /// Pass [`attn_block_for`] of a paged twin's page size to stay
+    /// bit-identical to the corresponding view path.
     Owned {
         /// K/V tensors plus their global positions.
         kv: SeqKv,
@@ -67,20 +85,13 @@ pub enum RankKv<'a> {
     QuantView(QuantKvView<'a>),
 }
 
-impl RankKv<'static> {
+impl From<SeqKv> for RankKv<'static> {
     /// Owned tensors attended with the default [`ATTN_BLOCK`].
-    pub fn tensors(kv: SeqKv) -> Self {
+    fn from(kv: SeqKv) -> Self {
         RankKv::Owned {
             kv,
             block: ATTN_BLOCK,
         }
-    }
-
-    /// Owned tensors attended with an explicit KV block size. Pass
-    /// [`attn_block_for`] of the paged twin's page size to keep a gather
-    /// path bit-identical to the corresponding view path.
-    pub fn tensors_blocked(kv: SeqKv, block: usize) -> Self {
-        RankKv::Owned { kv, block }
     }
 }
 
@@ -103,40 +114,49 @@ fn attend_rank_kv(
     kv: &RankKv<'_>,
     params: &AttentionParams,
 ) -> Result<AttentionOutput, CoreError> {
-    match kv {
-        RankKv::Owned { kv, block } => Ok(blocked_gqa_attention_on(
-            pool, q, &kv.k, &kv.v, params, q_pos, &kv.pos, *block,
-        )?),
-        RankKv::View(view) => Ok(blocked_gqa_attention_source(
-            pool,
-            q,
-            &view.source(),
-            params,
-            q_pos,
-            view.positions(),
-            attn_block_for(view.page_size()),
-        )?),
-        RankKv::QuantView(view) => Ok(blocked_gqa_attention_source(
-            pool,
-            q,
-            &view.source(),
-            params,
-            q_pos,
-            view.positions(),
-            attn_block_for(view.page_size()),
-        )?),
-    }
+    let (source, pos, page_size) = match kv {
+        RankKv::Owned { kv, block } => {
+            return Ok(blocked_gqa_attention_on(
+                pool, q, &kv.k, &kv.v, params, q_pos, &kv.pos, *block,
+            )?)
+        }
+        RankKv::View(view) => (view.source(), view.positions(), view.page_size()),
+        RankKv::QuantView(view) => (view.source(), view.positions(), view.page_size()),
+    };
+    let block = attn_block_for(page_size);
+    Ok(blocked_gqa_attention_source(
+        pool, q, &source, params, q_pos, pos, block,
+    )?)
 }
 
-fn attend(
+/// Attends one visiting quantized block **in place**: the block's codes
+/// and scales feed the kernel directly as a single-page
+/// [`KvSource::quant_paged`], each head vector dequantized into a reused
+/// scratch inside the kernel — no materialized f32 copy of the payload.
+fn attend_quant(
     pool: &ComputePool,
     q: &Tensor,
     q_pos: &[usize],
-    kv: &SeqKv,
+    kv: &QuantSeqKv,
     params: &AttentionParams,
 ) -> Result<AttentionOutput, CoreError> {
-    Ok(blocked_gqa_attention_on(
-        pool, q, &kv.k, &kv.v, params, q_pos, &kv.pos, ATTN_BLOCK,
+    let tokens = kv.tokens();
+    // A zero-token block has zero pages (not one empty page).
+    let pages = usize::from(tokens > 0);
+    let (k_codes, k_scales) = ([kv.k.codes()], [kv.k.scales()]);
+    let (v_codes, v_scales) = ([kv.v.codes()], [kv.v.scales()]);
+    let src = KvSource::quant_paged(
+        k_codes.get(..pages).unwrap_or_default(),
+        k_scales.get(..pages).unwrap_or_default(),
+        v_codes.get(..pages).unwrap_or_default(),
+        v_scales.get(..pages).unwrap_or_default(),
+        tokens.max(1),
+        kv.k.n_heads(),
+        kv.k.head_dim(),
+        tokens,
+    )?;
+    Ok(blocked_gqa_attention_source(
+        pool, q, &src, params, q_pos, &kv.pos, ATTN_BLOCK,
     )?)
 }
 
@@ -167,9 +187,8 @@ fn take_merged(
 }
 
 /// Folds one source rank's returned pass-Q partial outputs into the running
-/// per-sequence accumulators. Callers fold sources in ascending rank order —
-/// the order every transport of the return permutation shares, which keeps
-/// the overlapped and blocking variants bit-identical.
+/// per-sequence accumulators. Sources fold in ascending rank order at every
+/// depth, direction and layout, which keeps all pass-Q cells bit-identical.
 fn fold_source_outs(
     rank: usize,
     acc: &mut [Option<AttentionOutput>],
@@ -190,116 +209,18 @@ fn fold_source_outs(
     })
 }
 
-fn expect_kv(msg: RingMsg, from_rank: usize) -> Result<Vec<SeqKv>, CoreError> {
-    match msg {
-        RingMsg::Kv { seqs } => Ok(seqs),
-        other => Err(CoreError::ProtocolViolation {
-            from_rank,
-            expected: "Kv",
-            got: other.variant_name(),
-        }),
-    }
-}
-
-fn expect_kv_quant(msg: RingMsg, from_rank: usize) -> Result<Vec<QuantSeqKv>, CoreError> {
-    match msg {
-        RingMsg::KvQuant { seqs } => Ok(seqs),
-        other => Err(CoreError::ProtocolViolation {
-            from_rank,
-            expected: "KvQuant",
-            got: other.variant_name(),
-        }),
-    }
-}
-
-fn expect_q(msg: RingMsg, from_rank: usize) -> Result<(usize, Vec<SeqQ>), CoreError> {
-    match msg {
-        RingMsg::Q { origin, seqs } => Ok((origin, seqs)),
-        other => Err(CoreError::ProtocolViolation {
-            from_rank,
-            expected: "Q",
-            got: other.variant_name(),
-        }),
-    }
-}
-
-fn expect_out(msg: RingMsg, from_rank: usize) -> Result<Vec<SeqOut>, CoreError> {
-    match msg {
-        RingMsg::Out { seqs } => Ok(seqs),
-        other => Err(CoreError::ProtocolViolation {
-            from_rank,
-            expected: "Out",
-            got: other.variant_name(),
-        }),
-    }
-}
-
-fn expect_decode_q(
-    msg: RingMsg,
-    from_rank: usize,
-) -> Result<(usize, Vec<Option<DecodeSlot>>), CoreError> {
-    match msg {
-        RingMsg::DecodeQ { origin, slots } => Ok((origin, slots)),
-        other => Err(CoreError::ProtocolViolation {
-            from_rank,
-            expected: "DecodeQ",
-            got: other.variant_name(),
-        }),
-    }
-}
-
-fn expect_decode_out(msg: RingMsg, from_rank: usize) -> Result<Vec<Option<SeqOut>>, CoreError> {
-    match msg {
-        RingMsg::DecodeOut { slots } => Ok(slots),
-        other => Err(CoreError::ProtocolViolation {
-            from_rank,
-            expected: "DecodeOut",
-            got: other.variant_name(),
-        }),
-    }
-}
-
-/// Validates the origin tag of a circulating block received at ring step
-/// `step` against the rotation invariant ([`ring_origin`]), attributing a
-/// mismatch to the forwarding peer.
-fn check_ring_order(
-    rank: usize,
-    world: usize,
-    from_rank: usize,
-    step: usize,
-    got_origin: usize,
-) -> Result<(), CoreError> {
-    let expected_origin = ring_origin(rank, world, step);
-    if got_origin != expected_origin {
-        return Err(CoreError::RingOrderViolation {
-            from_rank,
-            step,
-            expected_origin,
-            got_origin,
-        });
-    }
-    Ok(())
-}
-
-/// [`check_ring_order`] generalized to any [`RingPath`]: validates a
-/// received origin tag against the path's rotation invariant.
-fn check_path_order(
-    rank: usize,
-    path: RingPath,
-    from_rank: usize,
-    step: usize,
-    got_origin: usize,
-) -> Result<(), CoreError> {
-    let expected_origin = path.origin_at(rank, step);
-    if got_origin != expected_origin {
-        return Err(CoreError::RingOrderViolation {
-            from_rank,
-            step,
-            expected_origin,
-            got_origin,
-        });
-    }
-    Ok(())
+/// Mutable access into a per-origin buffer table, with an out-of-range
+/// index (an internal bug: indices come from [`RingPath::origin_at`])
+/// surfaced as a typed error instead of a panic.
+fn origin_slot<'a, T>(
+    table: &'a mut [Option<T>],
+    origin: usize,
+    what: &'static str,
+) -> Result<&'a mut Option<T>, CoreError> {
+    let len = table.len();
+    table.get_mut(origin).ok_or_else(|| CoreError::Internal {
+        detail: format!("{what}: origin {origin} out of range for world {len}"),
+    })
 }
 
 /// Applies `f` to every item, fanning work out over the rank's persistent
@@ -342,1232 +263,527 @@ where
         .collect()
 }
 
+/// The payload codec: how a circulating block goes on the wire, comes back
+/// off it, and splits into the two halves a two-lane schedule carries.
+trait Payload: Clone + Sized {
+    /// Wraps a copy of the block as a hop message (O(1) handle clones for
+    /// tensor payloads), tagged with the block's `origin` where the
+    /// variant carries one.
+    fn encode(&self, origin: usize) -> RingMsg;
+
+    /// Takes the block (and its origin tag, if the variant carries one)
+    /// out of a hop message; a message of another variant is a protocol
+    /// violation attributed to `from_rank`, the peer that sent it.
+    fn decode(msg: RingMsg, from_rank: usize) -> Result<(Self, Option<usize>), CoreError>;
+
+    /// Splits the block into the halves the first and second lane carry.
+    fn split(&self) -> Result<(Self, Self), CoreError>;
+}
+
+/// One sequence's circulating pass-KV block in either wire format: the
+/// part of the pass-KV algorithm that differs between [`RingWire::F32`]
+/// and [`RingWire::Int8`].
+trait KvBlock: Clone + Send + Sync + Sized {
+    /// The rank's own block, as it will circulate (quantized once here for
+    /// the INT8 format, so the rank attends its own shard through the same
+    /// representation every peer sees).
+    fn from_local(local: &LocalSeq) -> Result<Self, CoreError>;
+    /// Exact inverse of the payload's split, so attending a rejoined block
+    /// is bitwise identical to attending the never-split original (the
+    /// blocked kernel's online softmax walks KV rows in order).
+    fn join(a: &Self, b: &Self) -> Result<Self, CoreError>;
+    fn attend(
+        &self,
+        pool: &ComputePool,
+        q: &Tensor,
+        q_pos: &[usize],
+        params: &AttentionParams,
+    ) -> Result<AttentionOutput, CoreError>;
+}
+
+impl KvBlock for SeqKv {
+    fn from_local(local: &LocalSeq) -> Result<Self, CoreError> {
+        // O(1) Arc handle copies: the circulating block views the rank's
+        // local shard, no payload bytes are duplicated.
+        Ok(local.kv())
+    }
+    fn join(a: &Self, b: &Self) -> Result<Self, CoreError> {
+        Ok(SeqKv::join_halves(a, b)?)
+    }
+    fn attend(
+        &self,
+        pool: &ComputePool,
+        q: &Tensor,
+        q_pos: &[usize],
+        params: &AttentionParams,
+    ) -> Result<AttentionOutput, CoreError> {
+        Ok(blocked_gqa_attention_on(
+            pool, q, &self.k, &self.v, params, q_pos, &self.pos, ATTN_BLOCK,
+        )?)
+    }
+}
+
+impl KvBlock for QuantSeqKv {
+    fn from_local(local: &LocalSeq) -> Result<Self, CoreError> {
+        Ok(QuantSeqKv::quantize(&local.kv())?)
+    }
+    fn join(a: &Self, b: &Self) -> Result<Self, CoreError> {
+        Ok(QuantSeqKv::join_halves(a, b)?)
+    }
+    fn attend(
+        &self,
+        pool: &ComputePool,
+        q: &Tensor,
+        q_pos: &[usize],
+        params: &AttentionParams,
+    ) -> Result<AttentionOutput, CoreError> {
+        attend_quant(pool, q, q_pos, self, params)
+    }
+}
+
+/// Splits every sequence of a fused batch with `split` and regroups the
+/// halves per lane.
+fn split_each<T, E: Into<CoreError>>(
+    seqs: &[T],
+    split: impl Fn(&T) -> Result<(T, T), E>,
+) -> Result<(Vec<T>, Vec<T>), CoreError> {
+    let halves: Result<Vec<(T, T)>, E> = seqs.iter().map(split).collect();
+    Ok(halves.map_err(Into::into)?.into_iter().unzip())
+}
+
+impl Payload for Vec<SeqKv> {
+    fn encode(&self, _origin: usize) -> RingMsg {
+        RingMsg::Kv { seqs: self.clone() }
+    }
+    fn decode(msg: RingMsg, from_rank: usize) -> Result<(Self, Option<usize>), CoreError> {
+        match msg {
+            RingMsg::Kv { seqs } => Ok((seqs, None)),
+            other => Err(wrong_variant(from_rank, "Kv", &other)),
+        }
+    }
+    fn split(&self) -> Result<(Self, Self), CoreError> {
+        split_each(self, SeqKv::split_halves)
+    }
+}
+
+impl Payload for Vec<QuantSeqKv> {
+    fn encode(&self, _origin: usize) -> RingMsg {
+        RingMsg::KvQuant { seqs: self.clone() }
+    }
+    fn decode(msg: RingMsg, from_rank: usize) -> Result<(Self, Option<usize>), CoreError> {
+        match msg {
+            RingMsg::KvQuant { seqs } => Ok((seqs, None)),
+            other => Err(wrong_variant(from_rank, "KvQuant", &other)),
+        }
+    }
+    fn split(&self) -> Result<(Self, Self), CoreError> {
+        split_each(self, QuantSeqKv::split_halves)
+    }
+}
+
+impl Payload for Vec<SeqQ> {
+    fn encode(&self, origin: usize) -> RingMsg {
+        RingMsg::Q {
+            origin,
+            seqs: self.clone(),
+        }
+    }
+    fn decode(msg: RingMsg, from_rank: usize) -> Result<(Self, Option<usize>), CoreError> {
+        match msg {
+            RingMsg::Q { origin, seqs } => Ok((seqs, Some(origin))),
+            other => Err(wrong_variant(from_rank, "Q", &other)),
+        }
+    }
+    /// Query rows are independent under the blocked kernel, so the halves'
+    /// outputs concatenate to the full-block partial bitwise.
+    fn split(&self) -> Result<(Self, Self), CoreError> {
+        split_each(self, SeqQ::split_halves)
+    }
+}
+
+impl Payload for Vec<Option<DecodeSlot>> {
+    fn encode(&self, origin: usize) -> RingMsg {
+        RingMsg::DecodeQ {
+            origin,
+            slots: self.clone(),
+        }
+    }
+    fn decode(msg: RingMsg, from_rank: usize) -> Result<(Self, Option<usize>), CoreError> {
+        match msg {
+            RingMsg::DecodeQ { origin, slots } => Ok((slots, Some(origin))),
+            other => Err(wrong_variant(from_rank, "DecodeQ", &other)),
+        }
+    }
+    /// Slots are independent single-token queries, so per-origin halves
+    /// simply re-concatenate before the shared `All2All` return.
+    fn split(&self) -> Result<(Self, Self), CoreError> {
+        Ok(split_slot_vec(self))
+    }
+}
+
+/// The typed error for a message of the wrong variant, naming its sender.
+fn wrong_variant(from_rank: usize, expected: &'static str, got: &RingMsg) -> CoreError {
+    CoreError::ProtocolViolation {
+        from_rank,
+        expected,
+        got: got.variant_name(),
+    }
+}
+
+/// One direction of circulation: the path a payload follows and the block
+/// currently visiting this rank along it.
+struct Lane<P> {
+    path: RingPath,
+    visiting: P,
+}
+
+fn lane<P>(path: RingPath, visiting: P) -> Lane<P> {
+    Lane { path, visiting }
+}
+
+/// What one ring algorithm does with the blocks the loop brings it.
+trait Visitor<P> {
+    /// Attends what is on board at `round` (each lane's visiting block),
+    /// keeping the result. Issues no hop traffic.
+    fn compute(&mut self, comm: &Comm, round: usize, lanes: &[Lane<P>]) -> Result<(), CoreError>;
+
+    /// Issues the traffic the round's compute produced (pass-Q's eager
+    /// `Out` returns). Runs after the round's hop posts at every depth, so
+    /// the op order on the wire — and hence the declared plan — does not
+    /// depend on the depth.
+    fn emit(&mut self, _comm: &Comm) -> Result<(), CoreError> {
+        Ok(())
+    }
+}
+
+/// The one ring loop: `world` rounds over one or two lanes. Every round
+/// computes on the visiting blocks and moves each lane one hop along its
+/// path (`world - 1` hops per lane in total).
+///
+/// With `overlap` the hop delivering round `j + 1`'s block is in flight
+/// while round `j` computes — posted up front for round 0 and re-posted
+/// per lane the moment that lane's previous hop is waited (so a chunk
+/// lane forwards before its sibling has landed: cut-through) — hiding
+/// wire time under compute, the paper's `latency(SendRecv) <=
+/// latency(ATTN)` condition (§3.3). Without it each round computes first
+/// and only then posts and waits its hops, exposing the full wire time.
+/// Both orders issue the same ops in the same sequence.
+fn ring_rounds<'c, P: Payload, V: Visitor<P>>(
+    comm: &'c Comm,
+    overlap: bool,
+    lanes: &mut [Lane<P>],
+    visitor: &mut V,
+) -> Result<(), CoreError> {
+    let n = comm.world_size();
+    let rank = comm.rank();
+    // Hop `hop` of a lane forwards the block it holds at round `hop`; the
+    // last round forwards nothing.
+    let post =
+        |lane: &Lane<P>, hop: usize| -> Result<Option<PendingRecv<'c, RingMsg>>, CoreError> {
+            if hop + 1 >= n {
+                return Ok(None);
+            }
+            let origin = lane.path.origin_at(rank, hop);
+            Ok(Some(comm.isend_irecv(
+                lane.path.send_peer(rank, hop),
+                lane.visiting.encode(origin),
+                lane.path.recv_peer(rank, hop),
+            )?))
+        };
+    let mut pending: [Option<PendingRecv<'c, RingMsg>>; 2] = [None, None];
+    if overlap {
+        // First lane first — the order receivers wait them in, which
+        // disambiguates the payloads when both lanes share a channel.
+        for (lane, slot) in lanes.iter().zip(&mut pending) {
+            *slot = post(lane, 0)?;
+        }
+    }
+    for j in 0..n {
+        visitor.compute(comm, j, lanes)?;
+        if !overlap {
+            for (lane, slot) in lanes.iter().zip(&mut pending) {
+                *slot = post(lane, j)?;
+            }
+        }
+        visitor.emit(comm)?;
+        for (lane, slot) in lanes.iter_mut().zip(&mut pending) {
+            let Some(hop) = slot.take() else { continue };
+            let from = lane.path.recv_peer(rank, j);
+            let (block, tag) = P::decode(hop.wait()?, from)?;
+            // The rotation invariant, attributed to the forwarding peer.
+            let expected_origin = lane.path.origin_at(rank, j + 1);
+            if let Some(got_origin) = tag.filter(|&got| got != expected_origin) {
+                return Err(CoreError::RingOrderViolation {
+                    from_rank: from,
+                    step: j + 1,
+                    expected_origin,
+                    got_origin,
+                });
+            }
+            lane.visiting = block;
+            if overlap {
+                *slot = post(lane, j + 1)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Runs [`ring_rounds`] over a spec's lanes: the whole payload on a single
+/// lane, or its two halves on two.
+fn circulate<P: Payload, V: Visitor<P>>(
+    comm: &Comm,
+    plan: &LanePlan,
+    payload: P,
+    visitor: &mut V,
+) -> Result<(), CoreError> {
+    match *plan.paths() {
+        [path] => ring_rounds(comm, plan.overlap, &mut [lane(path, payload)], visitor),
+        [first, second] => {
+            let (a, b) = payload.split()?;
+            let mut lanes = [lane(first, a), lane(second, b)];
+            ring_rounds(comm, plan.overlap, &mut lanes, visitor)
+        }
+        _ => Err(CoreError::Internal {
+            detail: "a ring spec resolves to one or two lanes".to_string(),
+        }),
+    }
+}
+
+/// The order pass-KV partials fold in — derived from the wire format, not
+/// chosen: f32 cells fold in the forward lane's visit order (the classic
+/// per-hop incremental merge), INT8 cells in ascending origin order, which
+/// makes the whole compressed family one bitwise equivalence class across
+/// directions and layouts.
+#[derive(Debug, Clone, Copy)]
+enum FoldOrder {
+    Visit(RingPath),
+    Canonical,
+}
+
+/// Folds per-origin pass-KV partials in a fixed [`FoldOrder`], eagerly: a
+/// partial is folded the moment every origin before it has been, and
+/// parked until then. On a single forward f32 lane origins arrive in fold
+/// order, so nothing is ever parked and live outputs stay O(1) per
+/// sequence.
+struct OrderedFold {
+    order: FoldOrder,
+    next: usize,
+    parked: Vec<Option<Vec<AttentionOutput>>>,
+    acc: Vec<Option<AttentionOutput>>,
+}
+
+impl OrderedFold {
+    fn new(order: FoldOrder, world: usize, n_seqs: usize) -> Self {
+        OrderedFold {
+            order,
+            next: 0,
+            parked: vec![None; world],
+            acc: (0..n_seqs).map(|_| None).collect(),
+        }
+    }
+
+    fn push(
+        &mut self,
+        comm: &Comm,
+        origin: usize,
+        partials: Vec<AttentionOutput>,
+    ) -> Result<(), CoreError> {
+        *origin_slot(&mut self.parked, origin, "pass-kv partials")? = Some(partials);
+        while self.next < self.parked.len() {
+            let due = match self.order {
+                FoldOrder::Visit(path) => path.origin_at(comm.rank(), self.next),
+                FoldOrder::Canonical => self.next,
+            };
+            let Some(step) = origin_slot(&mut self.parked, due, "pass-kv partials")?.take() else {
+                break;
+            };
+            let acc = &mut self.acc;
+            comm.time_compute("merge pass-kv", || {
+                acc.iter_mut()
+                    .zip(step)
+                    .try_for_each(|(a, out)| fold_partial(a, out))
+            })?;
+            self.next += 1;
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> Result<Vec<AttentionOutput>, CoreError> {
+        if self.next != self.parked.len() {
+            return Err(CoreError::Internal {
+                detail: format!(
+                    "pass-kv loop folded {} of {} origins",
+                    self.next,
+                    self.parked.len()
+                ),
+            });
+        }
+        take_merged(self.acc, "pass-kv")
+    }
+}
+
+/// Pass-KV: attend the stationary local queries against each visiting KV
+/// block and fold the partials (Eq. 4).
+struct PassKvVisitor<'a, B> {
+    params: &'a AttentionParams,
+    locals: &'a [LocalSeq],
+    /// Two-lane schedules: the first-arrived half of each origin's block,
+    /// until its sibling lands.
+    parked: Vec<Option<Vec<B>>>,
+    fold: OrderedFold,
+}
+
+impl<B: KvBlock> PassKvVisitor<'_, B> {
+    fn attend(&mut self, comm: &Comm, origin: usize, block: &[B]) -> Result<(), CoreError> {
+        let (rank, pool) = (comm.rank(), comm.pool());
+        let (params, locals) = (self.params, self.locals);
+        let step = comm.time_compute("attend pass-kv", || {
+            map_seqs(pool, locals, |i, local| {
+                let kv = block.get(i).ok_or_else(|| CoreError::BadRequest {
+                    reason: format!(
+                        "KV block of origin {origin} carries {} sequences but rank {rank} holds \
+                         {} local sequences",
+                        block.len(),
+                        locals.len()
+                    ),
+                })?;
+                kv.attend(pool, &local.q, &local.q_pos, params)
+            })
+        })?;
+        self.fold.push(comm, origin, step)
+    }
+
+    /// The both-halves-on-board rule: an origin is attended the round its
+    /// second half arrives (the later of its two lanes' arrival rounds;
+    /// the same round for chunk lanes), on the exactly rejoined block.
+    fn offer(
+        &mut self,
+        comm: &Comm,
+        side: usize,
+        origin: usize,
+        half: &[B],
+    ) -> Result<(), CoreError> {
+        let slot = origin_slot(&mut self.parked, origin, "pass-kv halves")?;
+        let Some(other) = slot.take() else {
+            *slot = Some(half.to_vec());
+            return Ok(());
+        };
+        // Each lane visits an origin once, so the parked half is the other
+        // lane's; lane 0 carries the front half.
+        let (a, b) = if side == 0 {
+            (half, other.as_slice())
+        } else {
+            (other.as_slice(), half)
+        };
+        if a.len() != b.len() {
+            return Err(CoreError::BadRequest {
+                reason: format!(
+                    "rank {} received mismatched KV halves of origin {origin}: {} vs {} sequences",
+                    comm.rank(),
+                    a.len(),
+                    b.len()
+                ),
+            });
+        }
+        let full: Vec<B> = a
+            .iter()
+            .zip(b)
+            .map(|(ha, hb)| B::join(ha, hb))
+            .collect::<Result<_, _>>()?;
+        self.attend(comm, origin, &full)
+    }
+}
+
+impl<B: KvBlock> Visitor<Vec<B>> for PassKvVisitor<'_, B> {
+    fn compute(
+        &mut self,
+        comm: &Comm,
+        round: usize,
+        lanes: &[Lane<Vec<B>>],
+    ) -> Result<(), CoreError> {
+        let rank = comm.rank();
+        if let [lane] = lanes {
+            return self.attend(comm, lane.path.origin_at(rank, round), &lane.visiting);
+        }
+        lanes.iter().enumerate().try_for_each(|(side, lane)| {
+            self.offer(comm, side, lane.path.origin_at(rank, round), &lane.visiting)
+        })
+    }
+}
+
+fn pass_kv<B: KvBlock>(
+    comm: &Comm,
+    params: &AttentionParams,
+    spec: &RingSpec,
+    locals: &[LocalSeq],
+) -> Result<Vec<AttentionOutput>, CoreError>
+where
+    Vec<B>: Payload,
+{
+    let n = comm.world_size();
+    let plan = spec.lanes(RingAlgo::PassKv, n)?;
+    let order = match (spec.wire, plan.paths().first()) {
+        (RingWire::F32, Some(&fwd)) => FoldOrder::Visit(fwd),
+        _ => FoldOrder::Canonical,
+    };
+    let own = locals
+        .iter()
+        .map(B::from_local)
+        .collect::<Result<Vec<B>, _>>()?;
+    let mut visitor = PassKvVisitor {
+        params,
+        locals,
+        parked: vec![None; n],
+        fold: OrderedFold::new(order, n, locals.len()),
+    };
+    circulate(comm, &plan, own, &mut visitor)?;
+    visitor.fold.finish()
+}
+
 /// Algorithm 2 — fused variable-length ring pass-KV partial prefill, as
-/// executed by one rank.
+/// executed by one rank on the schedule cell `spec`.
 ///
 /// `locals` holds this rank's per-sequence queries and (padded) KV shards.
-/// KV blocks circulate `N-1` hops; each iteration computes partial
-/// attention between the stationary local queries and the visiting KV,
-/// and the partials are merged at the end (Eq. 4).
+/// KV blocks circulate `W-1` hops per lane; each round computes partial
+/// attention between the stationary local queries and the visiting KV, and
+/// the partials are folded with the exact pairwise merge (Eq. 4).
 ///
-/// The loop is **double-buffered**: the exchange for hop `j+1` is posted
-/// (`isend_irecv`) *before* partial attention runs on hop `j`'s data, and
-/// the handle is waited at the loop bottom, so wire time hides under
-/// compute — the paper's `latency(SendRecv) <= latency(ATTN)` overlap
-/// condition (§3.3). [`ring_pass_kv_prefill_blocking`] keeps the
-/// compute-then-exchange ordering for A/B comparison; both produce
-/// bit-identical outputs because the merge order is unchanged.
+/// Every layout visits every origin exactly once, so results are exact on
+/// every cell. Within [`RingWire::F32`], direction and depth leave the
+/// fold order untouched (bitwise identical outputs), while a hierarchical
+/// layout visits — and therefore folds — origins in a different order than
+/// the flat ring (mathematically equal, not bitwise). [`RingWire::Int8`]
+/// cells fold canonically and are bitwise identical to each other on every
+/// direction and layout, within the quantization error bound
+/// (`QuantizedKv::error_bound`) of the f32 cells.
 ///
 /// Returns one [`AttentionOutput`] per sequence, rows in `q_pos` order.
 ///
 /// # Errors
 ///
-/// Communication failures, shape mismatches, or a protocol violation if a
-/// non-KV message arrives.
+/// [`CoreError::BadRequest`] for an unsupported cell or a topology that
+/// does not cover the world size (before any message is posted);
+/// communication failures, shape mismatches, or a protocol violation if a
+/// message of another variant arrives.
 pub fn ring_pass_kv_prefill(
     comm: &Communicator<RingMsg>,
     params: &AttentionParams,
+    spec: &RingSpec,
     locals: &[LocalSeq],
 ) -> Result<Vec<AttentionOutput>, CoreError> {
-    // The fabric's pipeline-depth flag selects the depth-2 chunked loop
-    // transparently: callers keep one entry point, checked runs must pass
-    // the matching plan (`pass_kv_chunked_plan`).
-    if comm.pipeline_depth() >= 2 {
-        return ring_pass_kv_prefill_chunked(comm, params, locals);
+    match spec.wire {
+        RingWire::F32 => pass_kv::<SeqKv>(comm, params, spec, locals),
+        RingWire::Int8 => pass_kv::<QuantSeqKv>(comm, params, spec, locals),
     }
-    ring_pass_kv_prefill_on(comm, params, locals, RingLayout::Flat)
 }
 
-/// [`ring_pass_kv_prefill`] over an arbitrary [`RingLayout`]: the flat
-/// layout reproduces the classic single ring hop for hop; the
-/// hierarchical layout walks all ranks of a node between cross-node
-/// exchanges, so only `N-1` of the `W-1` hops touch slow links. Every
-/// layout visits every origin exactly once and folds partials in its
-/// path's visit order, so results are exact for any layout; because the
-/// hierarchical path visits origins in a different order than the flat
-/// ring, its outputs are mathematically equal but not bitwise identical
-/// to the flat ones (the bidirectional loop on the *same* layout is
-/// bitwise identical — see [`ring_pass_kv_prefill_bidi`]).
-///
-/// # Errors
-///
-/// As [`ring_pass_kv_prefill`], plus [`CoreError::BadRequest`] when a
-/// hierarchical topology does not cover the world size.
-pub fn ring_pass_kv_prefill_on(
-    comm: &Communicator<RingMsg>,
-    params: &AttentionParams,
-    locals: &[LocalSeq],
-    layout: RingLayout,
-) -> Result<Vec<AttentionOutput>, CoreError> {
-    let n = comm.world_size();
-    let path = layout.fwd(n)?;
-    // Tensor clones are O(1) Arc handle copies: the circulating block views
-    // the rank's local shard, no payload bytes are duplicated.
-    let mut visiting: Vec<SeqKv> = locals
-        .iter()
-        .map(|l| SeqKv {
-            k: l.k.clone(),
-            v: l.v.clone(),
-            pos: l.kv_pos.clone(),
-        })
-        .collect();
-    // Running per-sequence accumulators: each hop's partial is folded in
-    // with the exact pairwise merge, so live outputs stay O(1) per sequence
-    // instead of O(hops).
-    let mut acc: Vec<Option<AttentionOutput>> = (0..locals.len()).map(|_| None).collect();
-
-    let rank = comm.rank();
-    let pool = comm.pool();
-    for j in 0..n {
-        // Post hop j+1's exchange before attending to hop j's block; the
-        // outgoing shard is captured by O(1) handle clones.
-        let pending = if j + 1 < n {
-            Some(comm.isend_irecv(
-                path.send_peer(rank, j),
-                RingMsg::Kv {
-                    seqs: visiting.clone(),
-                },
-                path.recv_peer(rank, j),
-            )?)
-        } else {
-            None
-        };
-        let forwarder = if j == 0 {
-            rank
-        } else {
-            path.recv_peer(rank, j - 1)
-        };
-        let step = comm.time_compute("attend pass-kv", || {
-            map_seqs(pool, locals, |i, local| {
-                let kv = visiting.get(i).ok_or_else(|| CoreError::BadRequest {
-                    reason: format!(
-                        "KV block forwarded by rank {forwarder} carries {} sequences but rank \
-                         {rank} holds {} local sequences",
-                        visiting.len(),
-                        locals.len()
-                    ),
-                })?;
-                attend(pool, &local.q, &local.q_pos, kv, params)
-            })
-        })?;
-        comm.time_compute("merge pass-kv", || {
-            acc.iter_mut()
-                .zip(step)
-                .try_for_each(|(a, out)| fold_partial(a, out))
-        })?;
-        if let Some(pending) = pending {
-            let received = pending.wait()?;
-            visiting = expect_kv(received, path.recv_peer(rank, j))?;
-        }
-    }
-
-    take_merged(acc, "pass-kv")
-}
-
-/// Blocking reference variant of [`ring_pass_kv_prefill`]: identical math
-/// and wire schedule, but each hop computes first and only then performs
-/// the exchange (`send_recv`), exposing the full wire time. Kept for A/B
-/// benchmarking of communication/compute overlap.
-///
-/// # Errors
-///
-/// Same failure modes as [`ring_pass_kv_prefill`].
-pub fn ring_pass_kv_prefill_blocking(
-    comm: &Communicator<RingMsg>,
-    params: &AttentionParams,
-    locals: &[LocalSeq],
-) -> Result<Vec<AttentionOutput>, CoreError> {
-    let n = comm.world_size();
-    let mut visiting: Vec<SeqKv> = locals
-        .iter()
-        .map(|l| SeqKv {
-            k: l.k.clone(),
-            v: l.v.clone(),
-            pos: l.kv_pos.clone(),
-        })
-        .collect();
-    // Same running per-sequence accumulators (and fold order) as the
-    // overlapped variant, so the two stay bit-identical.
-    let mut acc: Vec<Option<AttentionOutput>> = (0..locals.len()).map(|_| None).collect();
-
-    let (rank, prev) = (comm.rank(), comm.ring_prev());
-    let pool = comm.pool();
-    for j in 0..n {
-        let step = comm.time_compute("attend pass-kv", || {
-            map_seqs(pool, locals, |i, local| {
-                let kv = visiting.get(i).ok_or_else(|| CoreError::BadRequest {
-                    reason: format!(
-                        "KV block forwarded by rank {prev} carries {} sequences but rank {rank} \
-                         holds {} local sequences",
-                        visiting.len(),
-                        locals.len()
-                    ),
-                })?;
-                attend(pool, &local.q, &local.q_pos, kv, params)
-            })
-        })?;
-        comm.time_compute("merge pass-kv", || {
-            acc.iter_mut()
-                .zip(step)
-                .try_for_each(|(a, out)| fold_partial(a, out))
-        })?;
-        if j + 1 < n {
-            let received = comm.send_recv(
-                comm.ring_next(),
-                RingMsg::Kv { seqs: visiting },
-                comm.ring_prev(),
-            )?;
-            visiting = expect_kv(received, comm.ring_prev())?;
-        }
-    }
-
-    take_merged(acc, "pass-kv")
-}
-
-/// Splits each local KV shard at the per-sequence token midpoint into the
-/// forward (A) and reverse (B) circulating halves — O(1) view slices.
-fn split_kv_halves(locals: &[LocalSeq]) -> Result<(Vec<SeqKv>, Vec<SeqKv>), CoreError> {
-    let mut a = Vec::with_capacity(locals.len());
-    let mut b = Vec::with_capacity(locals.len());
-    for l in locals {
-        let kv = SeqKv {
-            k: l.k.clone(),
-            v: l.v.clone(),
-            pos: l.kv_pos.clone(),
-        };
-        let (ha, hb) = kv.split_halves()?;
-        a.push(ha);
-        b.push(hb);
-    }
-    Ok((a, b))
-}
-
-/// Rejoins per-sequence KV halves received from the two ring directions
-/// (or the two pipeline chunks) into full blocks. The blocked kernel's
-/// online softmax walks KV rows in order, so attending the rejoined block
-/// is bitwise identical to attending the never-split original.
-fn join_kv_halves(rank: usize, a: &[SeqKv], b: &[SeqKv]) -> Result<Vec<SeqKv>, CoreError> {
-    if a.len() != b.len() {
-        return Err(CoreError::BadRequest {
-            reason: format!(
-                "rank {rank} received mismatched KV half batches: {} vs {} sequences",
-                a.len(),
-                b.len()
-            ),
-        });
-    }
-    a.iter()
-        .zip(b)
-        .map(|(ha, hb)| SeqKv::join_halves(ha, hb).map_err(CoreError::from))
-        .collect()
-}
-
-/// Mutable access into a per-origin buffer table, with an out-of-range
-/// index (an internal bug: indices come from [`RingPath::origin_at`])
-/// surfaced as a typed error instead of a panic.
-fn origin_slot<'a, T>(
-    table: &'a mut [Option<T>],
-    origin: usize,
-    what: &'static str,
-) -> Result<&'a mut Option<T>, CoreError> {
-    let len = table.len();
-    table.get_mut(origin).ok_or_else(|| CoreError::Internal {
-        detail: format!("{what}: origin {origin} out of range for world {len}"),
-    })
-}
-
-/// If both halves of `origin`'s KV block are on board and it has not been
-/// attended yet, rejoin them, attend, and park the per-sequence partials
-/// in `computed`. Both directions' origins are tried every round; an
-/// origin becomes ready exactly at the later of its two arrival rounds,
-/// and its halves have always been forwarded onward by then (each
-/// direction forwards a half at or before the round the origin completes,
-/// and sends are posted before computes within a round), so consuming
-/// them here is safe.
-fn bidi_kv_attend_if_ready(
-    comm: &Communicator<RingMsg>,
-    params: &AttentionParams,
-    locals: &[LocalSeq],
-    origin: usize,
-    halves_a: &mut [Option<Vec<SeqKv>>],
-    halves_b: &mut [Option<Vec<SeqKv>>],
-    computed: &mut [Option<Vec<AttentionOutput>>],
-) -> Result<(), CoreError> {
-    if origin_slot(computed, origin, "bidi pass-kv partials")?.is_some() {
-        return Ok(());
-    }
-    let ready = matches!(
-        (halves_a.get(origin), halves_b.get(origin)),
-        (Some(Some(_)), Some(Some(_)))
-    );
-    if !ready {
-        return Ok(());
-    }
-    let a = origin_slot(halves_a, origin, "bidi pass-kv A halves")?
-        .take()
-        .unwrap_or_default();
-    let b = origin_slot(halves_b, origin, "bidi pass-kv B halves")?
-        .take()
-        .unwrap_or_default();
-    let rank = comm.rank();
-    let full = join_kv_halves(rank, &a, &b)?;
-    let pool = comm.pool();
-    let step = comm.time_compute("attend pass-kv", || {
-        map_seqs(pool, locals, |i, local| {
-            let kv = full.get(i).ok_or_else(|| CoreError::BadRequest {
-                reason: format!(
-                    "KV block of origin {origin} carries {} sequences but rank {rank} holds {} \
-                     local sequences",
-                    full.len(),
-                    locals.len()
-                ),
-            })?;
-            attend(pool, &local.q, &local.q_pos, kv, params)
-        })
-    })?;
-    *origin_slot(computed, origin, "bidi pass-kv partials")? = Some(step);
-    Ok(())
-}
-
-/// Bidirectional pass-KV prefill (TokenRing-style, arXiv:2412.20501):
-/// each rank's KV block splits at the token midpoint, the A half
-/// circulating along the forward path and the B half along the reverse
-/// path simultaneously, so each hop moves half the bytes per link and the
-/// two directions' payloads travel disjoint links (on rings longer than
-/// two ranks per cycle).
-///
-/// An origin is attended the round *both* of its halves are on board
-/// (`max` of its forward and reverse arrival steps); the halves rejoin as
-/// O(1) views of the origin's buffer, so the attended block is bitwise
-/// the one the unidirectional ring attends. Partials buffer per origin —
-/// O(W) merge state instead of the unidirectional loop's O(1) — and the
-/// end fold walks origins in forward-path order, replaying the
-/// unidirectional merge sequence exactly: outputs are proptested
-/// bit-identical to [`ring_pass_kv_prefill`].
-///
-/// # Errors
-///
-/// As [`ring_pass_kv_prefill`], plus [`CoreError::BadRequest`] when a
-/// hierarchical topology does not cover the world size.
-pub fn ring_pass_kv_prefill_bidi(
-    comm: &Communicator<RingMsg>,
-    params: &AttentionParams,
-    locals: &[LocalSeq],
-    layout: RingLayout,
-) -> Result<Vec<AttentionOutput>, CoreError> {
-    let n = comm.world_size();
-    let rank = comm.rank();
-    let fwd = layout.fwd(n)?;
-    let rev = layout.rev(n)?;
-
-    let mut halves_a: Vec<Option<Vec<SeqKv>>> = vec![None; n];
-    let mut halves_b: Vec<Option<Vec<SeqKv>>> = vec![None; n];
-    let (own_a, own_b) = split_kv_halves(locals)?;
-    *origin_slot(&mut halves_a, rank, "bidi pass-kv A halves")? = Some(own_a);
-    *origin_slot(&mut halves_b, rank, "bidi pass-kv B halves")? = Some(own_b);
-    let mut computed: Vec<Option<Vec<AttentionOutput>>> = vec![None; n];
-
-    for j in 0..n {
-        // Post both directions' hops (forward first — the order receivers
-        // wait them in, which disambiguates the two payloads when both
-        // directions share a channel on two-rank cycles).
-        let pends = if j + 1 < n {
-            let send_a = origin_slot(
-                &mut halves_a,
-                fwd.origin_at(rank, j),
-                "bidi pass-kv A halves",
-            )?
-            .clone()
-            .ok_or_else(|| CoreError::Internal {
-                detail: format!(
-                    "rank {rank} has no A half of origin {} to forward at round {j}",
-                    fwd.origin_at(rank, j)
-                ),
-            })?;
-            let pf = comm.isend_irecv(
-                fwd.send_peer(rank, j),
-                RingMsg::Kv { seqs: send_a },
-                fwd.recv_peer(rank, j),
-            )?;
-            let send_b = origin_slot(
-                &mut halves_b,
-                rev.origin_at(rank, j),
-                "bidi pass-kv B halves",
-            )?
-            .clone()
-            .ok_or_else(|| CoreError::Internal {
-                detail: format!(
-                    "rank {rank} has no B half of origin {} to forward at round {j}",
-                    rev.origin_at(rank, j)
-                ),
-            })?;
-            let pr = comm.isend_irecv(
-                rev.send_peer(rank, j),
-                RingMsg::Kv { seqs: send_b },
-                rev.recv_peer(rank, j),
-            )?;
-            Some((pf, pr))
-        } else {
-            None
-        };
-        bidi_kv_attend_if_ready(
-            comm,
-            params,
-            locals,
-            fwd.origin_at(rank, j),
-            &mut halves_a,
-            &mut halves_b,
-            &mut computed,
-        )?;
-        bidi_kv_attend_if_ready(
-            comm,
-            params,
-            locals,
-            rev.origin_at(rank, j),
-            &mut halves_a,
-            &mut halves_b,
-            &mut computed,
-        )?;
-        if let Some((pf, pr)) = pends {
-            let seqs = expect_kv(pf.wait()?, fwd.recv_peer(rank, j))?;
-            *origin_slot(
-                &mut halves_a,
-                fwd.origin_at(rank, j + 1),
-                "bidi pass-kv A halves",
-            )? = Some(seqs);
-            let seqs = expect_kv(pr.wait()?, rev.recv_peer(rank, j))?;
-            *origin_slot(
-                &mut halves_b,
-                rev.origin_at(rank, j + 1),
-                "bidi pass-kv B halves",
-            )? = Some(seqs);
-        }
-    }
-
-    // End fold in forward-path origin order == the unidirectional loop's
-    // incremental per-hop fold: the identical sequence of pairwise merges.
-    let mut acc: Vec<Option<AttentionOutput>> = (0..locals.len()).map(|_| None).collect();
-    comm.time_compute("merge pass-kv", || {
-        for tau in 0..n {
-            let origin = fwd.origin_at(rank, tau);
-            let step = origin_slot(&mut computed, origin, "bidi pass-kv partials")?
-                .take()
-                .ok_or_else(|| CoreError::Internal {
-                    detail: format!("origin {origin} was never attended in the bidi pass-kv loop"),
-                })?;
-            acc.iter_mut()
-                .zip(step)
-                .try_for_each(|(a, out)| fold_partial(a, out))?;
-        }
-        Ok::<(), CoreError>(())
-    })?;
-    take_merged(acc, "pass-kv")
-}
-
-/// Attends one visiting quantized block **in place**: the block's codes
-/// and scales feed the kernel directly as a single-page
-/// [`KvSource::quant_paged`], each head vector dequantized into a reused
-/// scratch inside the kernel — no materialized f32 copy of the payload.
-fn attend_quant(
-    pool: &ComputePool,
-    q: &Tensor,
-    q_pos: &[usize],
-    kv: &QuantSeqKv,
-    params: &AttentionParams,
-) -> Result<AttentionOutput, CoreError> {
-    let tokens = kv.tokens();
-    // A zero-token block has zero pages (not one empty page).
-    let k_codes: Vec<&[i8]> = if tokens == 0 {
-        vec![]
-    } else {
-        vec![kv.k.codes()]
-    };
-    let k_scales: Vec<&[f32]> = if tokens == 0 {
-        vec![]
-    } else {
-        vec![kv.k.scales()]
-    };
-    let v_codes: Vec<&[i8]> = if tokens == 0 {
-        vec![]
-    } else {
-        vec![kv.v.codes()]
-    };
-    let v_scales: Vec<&[f32]> = if tokens == 0 {
-        vec![]
-    } else {
-        vec![kv.v.scales()]
-    };
-    let src = KvSource::quant_paged(
-        &k_codes,
-        &k_scales,
-        &v_codes,
-        &v_scales,
-        tokens.max(1),
-        kv.k.n_heads(),
-        kv.k.head_dim(),
-        tokens,
-    )?;
-    Ok(blocked_gqa_attention_source(
-        pool, q, &src, params, q_pos, &kv.pos, ATTN_BLOCK,
-    )?)
-}
-
-/// Folds per-origin stashed partials in **canonical order** — ascending
-/// origin `0..W`, independent of the path's visit order. Every schedule
-/// family that stashes per-origin partials and folds through here produces
-/// bitwise identical outputs for the same inputs, whatever ring layout or
-/// direction moved the blocks.
-fn canonical_fold(
-    comm: &Communicator<RingMsg>,
-    computed: Vec<Option<Vec<AttentionOutput>>>,
-    n_seqs: usize,
-    what: &'static str,
-) -> Result<Vec<AttentionOutput>, CoreError> {
-    let mut acc: Vec<Option<AttentionOutput>> = (0..n_seqs).map(|_| None).collect();
-    comm.time_compute("merge pass-kv", || {
-        for (origin, step) in computed.into_iter().enumerate() {
-            let step = step.ok_or_else(|| CoreError::Internal {
-                detail: format!("origin {origin} was never attended in the {what} loop"),
-            })?;
-            acc.iter_mut()
-                .zip(step)
-                .try_for_each(|(a, out)| fold_partial(a, out))?;
-        }
-        Ok::<(), CoreError>(())
-    })?;
-    take_merged(acc, what)
-}
-
-/// Quantizes each local KV shard once into the compressed wire format.
-fn quantize_locals(locals: &[LocalSeq]) -> Result<Vec<QuantSeqKv>, CoreError> {
-    locals
-        .iter()
-        .map(|l| {
-            QuantSeqKv::quantize(&SeqKv {
-                k: l.k.clone(),
-                v: l.v.clone(),
-                pos: l.kv_pos.clone(),
-            })
-            .map_err(CoreError::from)
-        })
-        .collect()
-}
-
-/// Compressed ring pass-KV prefill (APB-style, arXiv:2504.12266 §2.2
-/// lineage): identical wire schedule to [`ring_pass_kv_prefill_on`] —
-/// same peers, same steps, same number of hops — but each hop carries the
-/// INT8 [`RingMsg::KvQuant`] payload, ~4× fewer bytes per link.
-///
-/// Each rank quantizes its shard **once**; hops relay codes verbatim, and
-/// every rank attends a visiting block in place through the quantized
-/// kernel ([`KvSource::quant_paged`] — per-head dequantize into a reused
-/// scratch, no materialized f32 copy). The rank's own shard is attended
-/// through the same quantized representation, so every rank folds the
-/// same per-origin values and results are identical across ranks.
-///
-/// Partials stash per origin and fold in **canonical ascending-origin
-/// order** ([`canonical_fold`]): flat, hierarchical, unidirectional and
-/// bidirectional compressed schedules are all bitwise identical to each
-/// other (the f32 families fold in path visit order instead, and so agree
-/// only mathematically across layouts). Accuracy vs the f32 families is
-/// bounded by the quantization error (see `QuantizedKv::error_bound`).
-///
-/// # Errors
-///
-/// As [`ring_pass_kv_prefill_on`], plus quantization shape errors.
-pub fn ring_pass_kv_prefill_quant_on(
-    comm: &Communicator<RingMsg>,
-    params: &AttentionParams,
-    locals: &[LocalSeq],
-    layout: RingLayout,
-) -> Result<Vec<AttentionOutput>, CoreError> {
-    let n = comm.world_size();
-    let rank = comm.rank();
-    let path = layout.fwd(n)?;
-    let mut visiting = quantize_locals(locals)?;
-    let mut computed: Vec<Option<Vec<AttentionOutput>>> = vec![None; n];
-
-    let pool = comm.pool();
-    for j in 0..n {
-        let pending = if j + 1 < n {
-            Some(comm.isend_irecv(
-                path.send_peer(rank, j),
-                RingMsg::KvQuant {
-                    seqs: visiting.clone(),
-                },
-                path.recv_peer(rank, j),
-            )?)
-        } else {
-            None
-        };
-        let origin = path.origin_at(rank, j);
-        let step = comm.time_compute("attend pass-kv", || {
-            map_seqs(pool, locals, |i, local| {
-                let kv = visiting.get(i).ok_or_else(|| CoreError::BadRequest {
-                    reason: format!(
-                        "quantized KV block of origin {origin} carries {} sequences but rank \
-                         {rank} holds {} local sequences",
-                        visiting.len(),
-                        locals.len()
-                    ),
-                })?;
-                attend_quant(pool, &local.q, &local.q_pos, kv, params)
-            })
-        })?;
-        *origin_slot(&mut computed, origin, "quant pass-kv partials")? = Some(step);
-        if let Some(pending) = pending {
-            visiting = expect_kv_quant(pending.wait()?, path.recv_peer(rank, j))?;
-        }
-    }
-
-    canonical_fold(comm, computed, locals.len(), "quant pass-kv")
-}
-
-/// Splits each quantized local shard at the token midpoint into forward
-/// and reverse circulating halves (codes copied verbatim, so the rejoin
-/// is exact).
-fn split_quant_halves(
-    own: Vec<QuantSeqKv>,
-) -> Result<(Vec<QuantSeqKv>, Vec<QuantSeqKv>), CoreError> {
-    let mut a = Vec::with_capacity(own.len());
-    let mut b = Vec::with_capacity(own.len());
-    for q in own {
-        let (ha, hb) = q.split_halves()?;
-        a.push(ha);
-        b.push(hb);
-    }
-    Ok((a, b))
-}
-
-/// Rejoins per-sequence quantized KV halves from the two ring directions.
-/// [`QuantSeqKv::join_halves`] is an exact round-trip of
-/// [`QuantSeqKv::split_halves`], so the attended block carries bit-for-bit
-/// the codes the unidirectional compressed ring would have sent whole.
-fn join_quant_halves(
-    rank: usize,
-    a: &[QuantSeqKv],
-    b: &[QuantSeqKv],
-) -> Result<Vec<QuantSeqKv>, CoreError> {
-    if a.len() != b.len() {
-        return Err(CoreError::BadRequest {
-            reason: format!(
-                "rank {rank} received mismatched quantized KV half batches: {} vs {} sequences",
-                a.len(),
-                b.len()
-            ),
-        });
-    }
-    a.iter()
-        .zip(b)
-        .map(|(ha, hb)| QuantSeqKv::join_halves(ha, hb).map_err(CoreError::from))
-        .collect()
-}
-
-/// If both halves of `origin`'s quantized block are on board and it has
-/// not been attended yet, rejoin (exact), attend through the quantized
-/// kernel, and park the per-sequence partials. Readiness logic is
-/// identical to [`bidi_kv_attend_if_ready`].
-#[allow(clippy::too_many_arguments)]
-fn bidi_quant_attend_if_ready(
-    comm: &Communicator<RingMsg>,
-    params: &AttentionParams,
-    locals: &[LocalSeq],
-    origin: usize,
-    halves_a: &mut [Option<Vec<QuantSeqKv>>],
-    halves_b: &mut [Option<Vec<QuantSeqKv>>],
-    computed: &mut [Option<Vec<AttentionOutput>>],
-) -> Result<(), CoreError> {
-    if origin_slot(computed, origin, "bidi quant pass-kv partials")?.is_some() {
-        return Ok(());
-    }
-    let ready = matches!(
-        (halves_a.get(origin), halves_b.get(origin)),
-        (Some(Some(_)), Some(Some(_)))
-    );
-    if !ready {
-        return Ok(());
-    }
-    let a = origin_slot(halves_a, origin, "bidi quant pass-kv A halves")?
-        .take()
-        .unwrap_or_default();
-    let b = origin_slot(halves_b, origin, "bidi quant pass-kv B halves")?
-        .take()
-        .unwrap_or_default();
-    let rank = comm.rank();
-    let full = join_quant_halves(rank, &a, &b)?;
-    let pool = comm.pool();
-    let step = comm.time_compute("attend pass-kv", || {
-        map_seqs(pool, locals, |i, local| {
-            let kv = full.get(i).ok_or_else(|| CoreError::BadRequest {
-                reason: format!(
-                    "quantized KV block of origin {origin} carries {} sequences but rank {rank} \
-                     holds {} local sequences",
-                    full.len(),
-                    locals.len()
-                ),
-            })?;
-            attend_quant(pool, &local.q, &local.q_pos, kv, params)
-        })
-    })?;
-    *origin_slot(computed, origin, "bidi quant pass-kv partials")? = Some(step);
-    Ok(())
-}
-
-/// Bidirectional compressed pass-KV prefill: the wire schedule of
-/// [`ring_pass_kv_prefill_bidi`] (half payloads on disjoint links in the
-/// two directions) carrying [`RingMsg::KvQuant`] halves — each hop moves
-/// `l/2 · n_kv · (d + 4)` bytes per direction instead of the f32 half's
-/// `l/2 · n_kv · d · 4`.
-///
-/// Halves split and rejoin **exactly** ([`QuantSeqKv::split_halves`]
-/// round-trips codes verbatim), and partials fold in canonical
-/// ascending-origin order, so outputs are bitwise identical to
-/// [`ring_pass_kv_prefill_quant_on`] on any layout — the compressed
-/// schedule family is one bitwise equivalence class.
-///
-/// # Errors
-///
-/// As [`ring_pass_kv_prefill_bidi`], plus quantization shape errors.
-pub fn ring_pass_kv_prefill_quant_bidi(
-    comm: &Communicator<RingMsg>,
-    params: &AttentionParams,
-    locals: &[LocalSeq],
-    layout: RingLayout,
-) -> Result<Vec<AttentionOutput>, CoreError> {
-    let n = comm.world_size();
-    let rank = comm.rank();
-    let fwd = layout.fwd(n)?;
-    let rev = layout.rev(n)?;
-
-    let mut halves_a: Vec<Option<Vec<QuantSeqKv>>> = vec![None; n];
-    let mut halves_b: Vec<Option<Vec<QuantSeqKv>>> = vec![None; n];
-    let (own_a, own_b) = split_quant_halves(quantize_locals(locals)?)?;
-    *origin_slot(&mut halves_a, rank, "bidi quant pass-kv A halves")? = Some(own_a);
-    *origin_slot(&mut halves_b, rank, "bidi quant pass-kv B halves")? = Some(own_b);
-    let mut computed: Vec<Option<Vec<AttentionOutput>>> = vec![None; n];
-
-    for j in 0..n {
-        let pends = if j + 1 < n {
-            let send_a = origin_slot(
-                &mut halves_a,
-                fwd.origin_at(rank, j),
-                "bidi quant pass-kv A halves",
-            )?
-            .clone()
-            .ok_or_else(|| CoreError::Internal {
-                detail: format!(
-                    "rank {rank} has no A half of origin {} to forward at round {j}",
-                    fwd.origin_at(rank, j)
-                ),
-            })?;
-            let pf = comm.isend_irecv(
-                fwd.send_peer(rank, j),
-                RingMsg::KvQuant { seqs: send_a },
-                fwd.recv_peer(rank, j),
-            )?;
-            let send_b = origin_slot(
-                &mut halves_b,
-                rev.origin_at(rank, j),
-                "bidi quant pass-kv B halves",
-            )?
-            .clone()
-            .ok_or_else(|| CoreError::Internal {
-                detail: format!(
-                    "rank {rank} has no B half of origin {} to forward at round {j}",
-                    rev.origin_at(rank, j)
-                ),
-            })?;
-            let pr = comm.isend_irecv(
-                rev.send_peer(rank, j),
-                RingMsg::KvQuant { seqs: send_b },
-                rev.recv_peer(rank, j),
-            )?;
-            Some((pf, pr))
-        } else {
-            None
-        };
-        bidi_quant_attend_if_ready(
-            comm,
-            params,
-            locals,
-            fwd.origin_at(rank, j),
-            &mut halves_a,
-            &mut halves_b,
-            &mut computed,
-        )?;
-        bidi_quant_attend_if_ready(
-            comm,
-            params,
-            locals,
-            rev.origin_at(rank, j),
-            &mut halves_a,
-            &mut halves_b,
-            &mut computed,
-        )?;
-        if let Some((pf, pr)) = pends {
-            let seqs = expect_kv_quant(pf.wait()?, fwd.recv_peer(rank, j))?;
-            *origin_slot(
-                &mut halves_a,
-                fwd.origin_at(rank, j + 1),
-                "bidi quant pass-kv A halves",
-            )? = Some(seqs);
-            let seqs = expect_kv_quant(pr.wait()?, rev.recv_peer(rank, j))?;
-            *origin_slot(
-                &mut halves_b,
-                rev.origin_at(rank, j + 1),
-                "bidi quant pass-kv B halves",
-            )? = Some(seqs);
-        }
-    }
-
-    canonical_fold(comm, computed, locals.len(), "bidi quant pass-kv")
-}
-
-/// Canonical-merge f32 pass-KV prefill: the wire schedule of
-/// [`ring_pass_kv_prefill_on`] with partials stashed per origin and folded
-/// in canonical ascending-origin order ([`canonical_fold`]) instead of the
-/// path's visit order. Outputs are bitwise **layout-stable**: flat and any
-/// hierarchical topology produce identical bits for the same inputs —
-/// the fold-order guarantee the visit-order family cannot give — at the
-/// cost of O(W) buffered partials instead of O(1).
-///
-/// # Errors
-///
-/// Same failure modes as [`ring_pass_kv_prefill_on`].
-pub fn ring_pass_kv_prefill_canonical_on(
-    comm: &Communicator<RingMsg>,
-    params: &AttentionParams,
-    locals: &[LocalSeq],
-    layout: RingLayout,
-) -> Result<Vec<AttentionOutput>, CoreError> {
-    let n = comm.world_size();
-    let rank = comm.rank();
-    let path = layout.fwd(n)?;
-    let mut visiting: Vec<SeqKv> = locals
-        .iter()
-        .map(|l| SeqKv {
-            k: l.k.clone(),
-            v: l.v.clone(),
-            pos: l.kv_pos.clone(),
-        })
-        .collect();
-    let mut computed: Vec<Option<Vec<AttentionOutput>>> = vec![None; n];
-
-    let pool = comm.pool();
-    for j in 0..n {
-        let pending = if j + 1 < n {
-            Some(comm.isend_irecv(
-                path.send_peer(rank, j),
-                RingMsg::Kv {
-                    seqs: visiting.clone(),
-                },
-                path.recv_peer(rank, j),
-            )?)
-        } else {
-            None
-        };
-        let origin = path.origin_at(rank, j);
-        let step = comm.time_compute("attend pass-kv", || {
-            map_seqs(pool, locals, |i, local| {
-                let kv = visiting.get(i).ok_or_else(|| CoreError::BadRequest {
-                    reason: format!(
-                        "KV block of origin {origin} carries {} sequences but rank {rank} holds \
-                         {} local sequences",
-                        visiting.len(),
-                        locals.len()
-                    ),
-                })?;
-                attend(pool, &local.q, &local.q_pos, kv, params)
-            })
-        })?;
-        *origin_slot(&mut computed, origin, "canonical pass-kv partials")? = Some(step);
-        if let Some(pending) = pending {
-            visiting = expect_kv(pending.wait()?, path.recv_peer(rank, j))?;
-        }
-    }
-
-    canonical_fold(comm, computed, locals.len(), "canonical pass-kv")
-}
-
-/// Depth-2 pipelined pass-KV prefill: each hop's payload splits into two
-/// chunks that travel the forward ring as separate messages, and each
-/// chunk is forwarded the moment it arrives — before its sibling lands
-/// (cut-through). Under a bandwidth-modelled serialized link this takes
-/// roughly `n/2` chunk transmission slots off the critical path versus
-/// the store-and-forward full-block hop in comm-bound regimes. Selected
-/// via [`cp_comm::Fabric::pipeline_depth`]`(2)` through the
-/// [`ring_pass_kv_prefill`] dispatcher.
-///
-/// Every visiting block is fully reassembled (O(1) view rejoin) before
-/// attending and the fold order matches the unidirectional loop, so
-/// outputs are bit-identical to [`ring_pass_kv_prefill`].
-///
-/// # Errors
-///
-/// Same failure modes as [`ring_pass_kv_prefill`].
-pub fn ring_pass_kv_prefill_chunked(
-    comm: &Communicator<RingMsg>,
-    params: &AttentionParams,
-    locals: &[LocalSeq],
-) -> Result<Vec<AttentionOutput>, CoreError> {
-    let n = comm.world_size();
-    let rank = comm.rank();
-    let (next, prev) = (comm.ring_next(), comm.ring_prev());
-    let (own_1, own_2) = split_kv_halves(locals)?;
-    let mut acc: Vec<Option<AttentionOutput>> = (0..locals.len()).map(|_| None).collect();
-
-    let pool = comm.pool();
-    let attend_and_fold =
-        |visiting: &[SeqKv], acc: &mut Vec<Option<AttentionOutput>>| -> Result<(), CoreError> {
-            let step = comm.time_compute("attend pass-kv", || {
-                map_seqs(pool, locals, |i, local| {
-                    let kv = visiting.get(i).ok_or_else(|| CoreError::BadRequest {
-                        reason: format!(
-                        "visiting KV block carries {} sequences but rank {rank} holds {} local \
-                         sequences",
-                        visiting.len(),
-                        locals.len()
-                    ),
-                    })?;
-                    attend(pool, &local.q, &local.q_pos, kv, params)
-                })
-            })?;
-            comm.time_compute("merge pass-kv", || {
-                acc.iter_mut()
-                    .zip(step)
-                    .try_for_each(|(a, out)| fold_partial(a, out))
-            })
-        };
-
-    // Round 0: both chunks of the local shard go on the wire back to back,
-    // then the rank attends its own (never-split) block.
-    let mut pending = if n > 1 {
-        let p1 = comm.isend_irecv(next, RingMsg::Kv { seqs: own_1 }, prev)?;
-        let p2 = comm.isend_irecv(next, RingMsg::Kv { seqs: own_2 }, prev)?;
-        Some((p1, p2))
-    } else {
-        None
-    };
-    let own: Vec<SeqKv> = locals
-        .iter()
-        .map(|l| SeqKv {
-            k: l.k.clone(),
-            v: l.v.clone(),
-            pos: l.kv_pos.clone(),
-        })
-        .collect();
-    attend_and_fold(&own, &mut acc)?;
-
-    for j in 1..n {
-        let (p1, p2) = pending.take().ok_or_else(|| CoreError::Internal {
-            detail: format!("chunked pass-kv round {j} has no pending chunk exchange"),
-        })?;
-        // Cut-through: wait and re-post chunk 1 before chunk 2 has even
-        // been claimed, so on a serialized link the chunks pipeline
-        // through the ring instead of store-and-forwarding whole blocks.
-        let h1 = expect_kv(p1.wait()?, prev)?;
-        let n1 = if j + 1 < n {
-            Some(comm.isend_irecv(next, RingMsg::Kv { seqs: h1.clone() }, prev)?)
-        } else {
-            None
-        };
-        let h2 = expect_kv(p2.wait()?, prev)?;
-        let n2 = if j + 1 < n {
-            Some(comm.isend_irecv(next, RingMsg::Kv { seqs: h2.clone() }, prev)?)
-        } else {
-            None
-        };
-        if let (Some(n1), Some(n2)) = (n1, n2) {
-            pending = Some((n1, n2));
-        }
-        let full = join_kv_halves(rank, &h1, &h2)?;
-        attend_and_fold(&full, &mut acc)?;
-    }
-
-    take_merged(acc, "pass-kv")
-}
-
-/// Algorithm 3 — fused variable-length ring pass-Q partial prefill, as
-/// executed by one rank.
-///
-/// Q blocks circulate while KV stays put; after the loop each rank holds
-/// partial outputs for *other ranks'* queries, which are returned to their
-/// source rank and merged there.
-///
-/// The hop loop is **double-buffered** like [`ring_pass_kv_prefill`]:
-/// the next hop's `isend_irecv` is posted before attending to the visiting
-/// queries, and the origin-rotation invariant is still checked when the
-/// handle is waited at the loop bottom. The **return hop is
-/// double-buffered too**: each visiting origin's partial outputs are
-/// isent back the moment their hop computes — before the next hop is
-/// waited on — so the return permutation hides under remaining ring
-/// compute instead of sitting exposed at the loop end (the Appendix C
-/// All2All cost). [`ring_pass_q_prefill_blocking`] keeps the
-/// compute-then-exchange ordering and the single trailing `All2All` for
-/// A/B comparison; both variants merge per source rank and are
-/// proptested bit-identical.
-///
-/// Returns one [`AttentionOutput`] per sequence for **this rank's own**
-/// queries, rows in `q_pos` order.
-///
-/// # Errors
-///
-/// Communication failures, shape mismatches, or protocol violations.
-pub fn ring_pass_q_prefill(
-    comm: &Communicator<RingMsg>,
-    params: &AttentionParams,
-    locals: &[LocalSeq],
-) -> Result<Vec<AttentionOutput>, CoreError> {
-    let (queries, kv) = locals_to_q_and_kv(locals);
-    ring_pass_q_prefill_kv(comm, params, &queries, &kv)
-}
-
-/// Splits per-sequence `LocalSeq` shards into circulating queries and
-/// stationary owned KV (O(1) tensor handle clones), for the legacy
-/// tensor-based entry points.
-fn locals_to_q_and_kv(locals: &[LocalSeq]) -> (Vec<SeqQ>, Vec<RankKv<'static>>) {
-    let queries = locals
-        .iter()
-        .map(|l| SeqQ {
-            q: l.q.clone(),
-            pos: l.q_pos.clone(),
-        })
-        .collect();
-    let kv = locals
-        .iter()
-        .map(|l| {
-            RankKv::tensors(SeqKv {
-                k: l.k.clone(),
-                v: l.v.clone(),
-                pos: l.kv_pos.clone(),
-            })
-        })
-        .collect();
-    (queries, kv)
-}
-
-/// [`ring_pass_q_prefill`] over [`RankKv`] stationary KV — the entry point
-/// engines use so the rank's paged caches are attended **in place** (via
-/// [`KvView`]) instead of gathered into contiguous tensors first. Only the
-/// circulating queries touch the wire, so nothing here needs owned KV.
-///
-/// `queries[i]` circulates; `local_kv[i]` is the stationary KV shard of the
-/// same fused-batch sequence.
-///
-/// # Errors
-///
-/// Same failure modes as [`ring_pass_q_prefill`].
-pub fn ring_pass_q_prefill_kv(
-    comm: &Communicator<RingMsg>,
-    params: &AttentionParams,
-    queries: &[SeqQ],
-    local_kv: &[RankKv<'_>],
-) -> Result<Vec<AttentionOutput>, CoreError> {
-    let n = comm.world_size();
-    let k = comm.rank();
-
-    let mut visiting_origin = k;
-    let mut visiting: Vec<SeqQ> = queries.to_vec();
-
-    // This rank's own partial (origin == k, computed at step 0) stays
-    // local; every other origin's partial is returned EAGERLY — an isend
-    // posted the moment the hop's compute finishes, before the next hop is
-    // merged in — so the return traffic rides under the remaining hops'
-    // compute instead of forming one exposed All2All at the loop end
-    // (Appendix C's exposed-return-hop cost, double-buffered away).
-    let mut own: Option<Vec<SeqOut>> = None;
-    let pool = comm.pool();
-    for j in 0..n {
-        let origin = visiting_origin;
-        let pending = if j + 1 < n {
-            Some(comm.isend_irecv(
-                comm.ring_next(),
-                RingMsg::Q {
-                    origin: visiting_origin,
-                    seqs: visiting.clone(),
-                },
-                comm.ring_prev(),
-            )?)
-        } else {
-            None
-        };
-        let outs: Vec<SeqOut> = comm.time_compute("attend pass-q", || {
-            map_seqs(pool, &visiting, |i, sq| {
-                let kv = local_kv.get(i).ok_or_else(|| CoreError::BadRequest {
-                    reason: format!(
-                        "rank {origin} sent {} query sequences but rank {k} holds {} local KV \
-                         sequences",
-                        visiting.len(),
-                        local_kv.len()
-                    ),
-                })?;
-                attend_rank_kv(pool, &sq.q, &sq.pos, kv, params).map(|o| SeqOut {
-                    out: o.out,
-                    lse: o.lse,
-                })
-            })
-        })?;
-        if origin == k {
-            own = Some(outs);
-        } else {
-            // Buffered post; completion is implicit (channels are
-            // unbounded), so the handle can be dropped immediately.
-            let _posted = comm.isend(origin, RingMsg::Out { seqs: outs })?;
-        }
-        if let Some(pending) = pending {
-            let received = pending.wait()?;
-            let (origin, seqs) = expect_q(received, comm.ring_prev())?;
-            check_ring_order(k, n, comm.ring_prev(), j + 1, origin)?;
-            visiting_origin = origin;
-            visiting = seqs;
-        }
-    }
-
-    // Fold the partials for our own queries straight into running
-    // accumulators as each source arrives — one from each peer (its
-    // attention of our queries against its KV shard), ours from step 0 —
-    // in ascending source-rank order, without ever materializing the
-    // per-source partial table.
-    let mut acc: Vec<Option<AttentionOutput>> = (0..queries.len()).map(|_| None).collect();
-    for src_rank in 0..n {
-        let outs = if src_rank == k {
-            own.take().ok_or_else(|| CoreError::Internal {
-                detail: format!("rank {k} never visited its own queries in the pass-Q ring loop"),
-            })?
-        } else {
-            expect_out(comm.recv(src_rank)?, src_rank)?
-        };
-        comm.time_compute("merge pass-q", || {
-            fold_source_outs(k, &mut acc, src_rank, &outs)
-        })?;
-    }
-    take_merged(acc, "pass-q")
-}
-
-/// Blocking reference variant of [`ring_pass_q_prefill`]: identical math
-/// and wire schedule, but each hop computes first and only then performs
-/// the exchange (`send_recv`), exposing the full wire time. Kept for A/B
-/// benchmarking of communication/compute overlap.
-///
-/// # Errors
-///
-/// Same failure modes as [`ring_pass_q_prefill`].
-pub fn ring_pass_q_prefill_blocking(
-    comm: &Communicator<RingMsg>,
-    params: &AttentionParams,
-    locals: &[LocalSeq],
-) -> Result<Vec<AttentionOutput>, CoreError> {
-    let (queries, kv) = locals_to_q_and_kv(locals);
-    ring_pass_q_prefill_blocking_kv(comm, params, &queries, &kv)
-}
-
-/// [`ring_pass_q_prefill_blocking`] over [`RankKv`] stationary KV — the
-/// blocking A/B twin of [`ring_pass_q_prefill_kv`].
-///
-/// # Errors
-///
-/// Same failure modes as [`ring_pass_q_prefill`].
-pub fn ring_pass_q_prefill_blocking_kv(
-    comm: &Communicator<RingMsg>,
-    params: &AttentionParams,
-    queries: &[SeqQ],
-    local_kv: &[RankKv<'_>],
-) -> Result<Vec<AttentionOutput>, CoreError> {
-    let n = comm.world_size();
-    let k = comm.rank();
-
-    let mut visiting_origin = k;
-    let mut visiting: Vec<SeqQ> = queries.to_vec();
-
-    let mut computed: Vec<Option<Vec<SeqOut>>> = vec![None; n];
-    let pool = comm.pool();
-    for j in 0..n {
-        let origin = visiting_origin;
-        let outs: Vec<SeqOut> = comm.time_compute("attend pass-q", || {
-            map_seqs(pool, &visiting, |i, sq| {
-                let kv = local_kv.get(i).ok_or_else(|| CoreError::BadRequest {
-                    reason: format!(
-                        "rank {origin} sent {} query sequences but rank {k} holds {} local KV \
-                         sequences",
-                        visiting.len(),
-                        local_kv.len()
-                    ),
-                })?;
-                attend_rank_kv(pool, &sq.q, &sq.pos, kv, params).map(|o| SeqOut {
-                    out: o.out,
-                    lse: o.lse,
-                })
-            })
-        })?;
-        let slot = computed
-            .get_mut(visiting_origin)
-            .ok_or_else(|| CoreError::Internal {
-                detail: format!("visiting origin {visiting_origin} out of range for world {n}"),
-            })?;
-        *slot = Some(outs);
-        if j + 1 < n {
-            let received = comm.send_recv(
-                comm.ring_next(),
-                RingMsg::Q {
-                    origin: visiting_origin,
-                    seqs: visiting,
-                },
-                comm.ring_prev(),
-            )?;
-            let (origin, seqs) = expect_q(received, comm.ring_prev())?;
-            check_ring_order(k, n, comm.ring_prev(), j + 1, origin)?;
-            visiting_origin = origin;
-            visiting = seqs;
-        }
-    }
-
-    return_and_merge_pass_q(comm, queries.len(), computed)
-}
-
-/// Tail of the blocking pass-Q prefill variant: return every origin's
-/// partial outputs via one `All2All`, then fold them into running
-/// accumulators in ascending source-rank order. The overlapped variant
-/// instead returns partials eagerly per hop (lone isends) and collects
-/// them with per-peer receives — a different transport for the *same*
-/// permutation, folded in the same order, so both variants stay
-/// bit-identical.
-fn return_and_merge_pass_q(
-    comm: &Communicator<RingMsg>,
-    n_seqs: usize,
-    computed: Vec<Option<Vec<SeqOut>>>,
-) -> Result<Vec<AttentionOutput>, CoreError> {
-    // All2All: computed[s] goes back to rank s (this includes keeping our
-    // own partial locally).
-    let payloads: Vec<RingMsg> = computed
-        .into_iter()
-        .enumerate()
-        .map(|(s, outs)| {
-            outs.map(|seqs| RingMsg::Out { seqs })
-                .ok_or_else(|| CoreError::Internal {
-                    detail: format!("origin {s} never visited in the pass-Q ring loop"),
-                })
-        })
-        .collect::<Result<_, _>>()?;
-    let received = comm.all_to_all(payloads)?;
-
-    // received[s] = partial attention of our queries against rank s's KV.
-    let mut acc: Vec<Option<AttentionOutput>> = (0..n_seqs).map(|_| None).collect();
-    for (src_rank, msg) in received.into_iter().enumerate() {
-        let outs = expect_out(msg, src_rank)?;
-        comm.time_compute("merge pass-q", || {
-            fold_source_outs(comm.rank(), &mut acc, src_rank, &outs)
-        })?;
-    }
-    take_merged(acc, "pass-q")
-}
-
-/// Attends one batch of visiting query blocks (a full block or a
-/// bidirectional half) against the stationary local KV. An empty block —
-/// the reverse half of a one-token sequence — produces a zero-row output
-/// without touching the kernel; it concatenates back losslessly on the
-/// origin rank.
+/// Attends one batch of visiting query blocks (a full block or a half)
+/// against the stationary local KV. An empty block — the second half of a
+/// one-token sequence — produces a zero-row output without touching the
+/// kernel; it concatenates back losslessly on the origin rank.
 fn attend_visiting_q(
-    comm: &Communicator<RingMsg>,
+    comm: &Comm,
     params: &AttentionParams,
     local_kv: &[RankKv<'_>],
     visiting: &[SeqQ],
@@ -1600,138 +816,144 @@ fn attend_visiting_q(
     })
 }
 
-/// Posts a pass-Q partial-output return, or stashes it when the target
-/// channel still has ring hops in flight (see
-/// [`crate::schedule::hop_channels`] for why eager posts there would
-/// interleave ahead of hop payloads in the per-pair FIFO).
-fn post_or_defer_return(
-    comm: &Communicator<RingMsg>,
-    is_hop_dst: &[bool],
-    deferred: &mut Vec<(usize, RingMsg)>,
-    origin: usize,
-    round: usize,
-    outs: Vec<SeqOut>,
+/// Posts every queued pass-Q return. Buffered posts: completion is
+/// implicit (channels are unbounded), so the handles are dropped.
+fn post_returns(
+    comm: &Comm,
+    queue: impl Iterator<Item = (usize, RingMsg)>,
 ) -> Result<(), CoreError> {
-    let msg = RingMsg::Out { seqs: outs };
-    if defer_return(is_hop_dst, origin, round, comm.world_size()) {
-        deferred.push((origin, msg));
-    } else {
-        let _posted = comm.isend(origin, msg)?;
+    for (dst, msg) in queue {
+        let _posted = comm.isend(dst, msg)?;
     }
     Ok(())
 }
 
-/// [`ring_pass_q_prefill`] over an arbitrary [`RingLayout`] — flat keeps
-/// the classic ring's exact wire schedule; hierarchical layouts rotate
-/// the Q blocks through each node before every cross-node exchange, with
-/// returns to still-active hop channels deferred to the final round so
-/// per-channel FIFO order stays unambiguous.
-///
-/// # Errors
-///
-/// As [`ring_pass_q_prefill`], plus [`CoreError::BadRequest`] when a
-/// hierarchical topology does not cover the world size.
-pub fn ring_pass_q_prefill_on(
-    comm: &Communicator<RingMsg>,
-    params: &AttentionParams,
-    locals: &[LocalSeq],
-    layout: RingLayout,
-) -> Result<Vec<AttentionOutput>, CoreError> {
-    let (queries, kv) = locals_to_q_and_kv(locals);
-    ring_pass_q_prefill_kv_on(comm, params, &queries, &kv, layout)
+/// Pass-Q: attend each visiting Q block against the stationary local KV
+/// and return the partials to their origin **eagerly** — an isend posted
+/// the round they are computed, so the return permutation rides under the
+/// remaining rounds' compute instead of forming one exposed All2All at the
+/// loop end (Appendix C's exposed-return cost, double-buffered away).
+struct PassQVisitor<'a, 'kv> {
+    params: &'a AttentionParams,
+    local_kv: &'a [RankKv<'kv>],
+    /// Destinations that receive this rank's hop posts. A return posted
+    /// to one before the final round could be claimed by the receiver's
+    /// hop `irecv` (channels are FIFO per rank pair), so it is deferred
+    /// and flushed at the top of the final round — see
+    /// [`crate::schedule::hop_channels`].
+    is_hop_dst: Vec<bool>,
+    deferred: Vec<(usize, RingMsg)>,
+    /// This round's returns, in lane order, until [`Visitor::emit`].
+    ready: [Option<(usize, RingMsg)>; 2],
+    /// This rank's own partial per lane (origin == rank, round 0).
+    own: [Option<Vec<SeqOut>>; 2],
 }
 
-/// [`ring_pass_q_prefill_on`] over [`RankKv`] stationary KV.
-///
-/// # Errors
-///
-/// As [`ring_pass_q_prefill_on`].
-pub fn ring_pass_q_prefill_kv_on(
-    comm: &Communicator<RingMsg>,
-    params: &AttentionParams,
-    queries: &[SeqQ],
-    local_kv: &[RankKv<'_>],
-    layout: RingLayout,
-) -> Result<Vec<AttentionOutput>, CoreError> {
-    let n = comm.world_size();
-    let k = comm.rank();
-    let fwd = layout.fwd(n)?;
-    let is_hop_dst = hop_channels(k, &[fwd]);
-
-    let mut visiting: Vec<SeqQ> = queries.to_vec();
-    let mut own: Option<Vec<SeqOut>> = None;
-    let mut deferred: Vec<(usize, RingMsg)> = Vec::new();
-    for j in 0..n {
-        if j + 1 == n {
-            for (dst, msg) in deferred.drain(..) {
-                let _posted = comm.isend(dst, msg)?;
+impl Visitor<Vec<SeqQ>> for PassQVisitor<'_, '_> {
+    fn compute(
+        &mut self,
+        comm: &Comm,
+        round: usize,
+        lanes: &[Lane<Vec<SeqQ>>],
+    ) -> Result<(), CoreError> {
+        let (n, k) = (comm.world_size(), comm.rank());
+        if round + 1 == n {
+            // Flush point: all hop posts are behind us, so the deferred
+            // returns land on clean channels, in compute (= expected
+            // receive) order.
+            post_returns(comm, self.deferred.drain(..))?;
+        }
+        let slots = self.own.iter_mut().zip(&mut self.ready);
+        for (lane, (own, ready)) in lanes.iter().zip(slots) {
+            let origin = lane.path.origin_at(k, round);
+            let outs = attend_visiting_q(comm, self.params, self.local_kv, &lane.visiting, origin)?;
+            if origin == k {
+                *own = Some(outs);
+            } else if defer_return(&self.is_hop_dst, origin, round, n) {
+                self.deferred.push((origin, RingMsg::Out { seqs: outs }));
+            } else {
+                *ready = Some((origin, RingMsg::Out { seqs: outs }));
             }
         }
-        let origin = fwd.origin_at(k, j);
-        let pending = if j + 1 < n {
-            Some(comm.isend_irecv(
-                fwd.send_peer(k, j),
-                RingMsg::Q {
-                    origin,
-                    seqs: visiting.clone(),
-                },
-                fwd.recv_peer(k, j),
-            )?)
-        } else {
-            None
-        };
-        let outs = attend_visiting_q(comm, params, local_kv, &visiting, origin)?;
-        if origin == k {
-            own = Some(outs);
-        } else {
-            post_or_defer_return(comm, &is_hop_dst, &mut deferred, origin, j, outs)?;
-        }
-        if let Some(pending) = pending {
-            let received = pending.wait()?;
-            let (got_origin, seqs) = expect_q(received, fwd.recv_peer(k, j))?;
-            check_path_order(k, fwd, fwd.recv_peer(k, j), j + 1, got_origin)?;
-            visiting = seqs;
-        }
+        Ok(())
     }
 
-    let mut acc: Vec<Option<AttentionOutput>> = (0..queries.len()).map(|_| None).collect();
-    for src_rank in 0..n {
-        let outs = if src_rank == k {
-            own.take().ok_or_else(|| CoreError::Internal {
-                detail: format!("rank {k} never visited its own queries in the pass-Q ring loop"),
-            })?
-        } else {
-            expect_out(comm.recv(src_rank)?, src_rank)?
-        };
-        comm.time_compute("merge pass-q", || {
-            fold_source_outs(k, &mut acc, src_rank, &outs)
-        })?;
+    fn emit(&mut self, comm: &Comm) -> Result<(), CoreError> {
+        post_returns(comm, self.ready.iter_mut().filter_map(Option::take))
     }
-    take_merged(acc, "pass-q")
 }
 
-/// Rejoins the two half-outputs a source rank computed for this rank's
-/// queries. Query rows are independent under the blocked kernel, so the
-/// concatenation is bitwise the full-block partial the unidirectional
-/// loop receives.
+impl PassQVisitor<'_, '_> {
+    /// Collects this rank's partials from every source — its own from
+    /// round 0, one `Out` per lane from each peer — and folds them in
+    /// ascending source-rank order, without ever materializing the
+    /// per-source partial table.
+    fn gather(
+        mut self,
+        comm: &Comm,
+        paths: &[RingPath],
+        n_seqs: usize,
+    ) -> Result<Vec<AttentionOutput>, CoreError> {
+        let (n, k) = (comm.world_size(), comm.rank());
+        let hosted_at = |path: &RingPath, src: usize| {
+            path.step_of(src, k).ok_or_else(|| CoreError::Internal {
+                detail: format!("ring path never routes rank {k}'s block through rank {src}"),
+            })
+        };
+        let mut acc: Vec<Option<AttentionOutput>> = (0..n_seqs).map(|_| None).collect();
+        for src in 0..n {
+            let halves = if src == k {
+                std::mem::take(&mut self.own)
+            } else {
+                let mut got = [None, None];
+                for (slot, _) in got.iter_mut().zip(paths) {
+                    let msg = comm.recv(src)?;
+                    let RingMsg::Out { seqs } = msg else {
+                        return Err(wrong_variant(src, "Out", &msg));
+                    };
+                    *slot = Some(seqs);
+                }
+                // src returned each lane's half at the round it hosted it;
+                // its channel to us is FIFO, so the earlier round's return
+                // arrives first (first lane on a tie: the loop posts
+                // returns in lane order within a round).
+                if let [a, b] = paths {
+                    if hosted_at(a, src)? > hosted_at(b, src)? {
+                        got.swap(0, 1);
+                    }
+                }
+                got
+            };
+            let outs = join_out_halves(k, src, halves)?;
+            comm.time_compute("merge pass-q", || fold_source_outs(k, &mut acc, src, &outs))?;
+        }
+        take_merged(acc, "pass-q")
+    }
+}
+
+/// Rejoins the per-lane half-outputs a source rank computed for this
+/// rank's queries (a single lane's output passes through). Query rows are
+/// independent under the blocked kernel, so the concatenation is bitwise
+/// the full-block partial a single lane returns.
 fn join_out_halves(
     rank: usize,
     src: usize,
-    a: &[SeqOut],
-    b: &[SeqOut],
+    halves: [Option<Vec<SeqOut>>; 2],
 ) -> Result<Vec<SeqOut>, CoreError> {
-    if a.len() != b.len() {
-        return Err(CoreError::BadRequest {
-            reason: format!(
-                "rank {src} returned mismatched Out half batches to rank {rank}: {} vs {} \
-                 sequences",
-                a.len(),
-                b.len()
-            ),
-        });
-    }
+    let (a, b) = match halves {
+        [Some(only), None] => return Ok(only),
+        [Some(a), Some(b)] if a.len() == b.len() => (a, b),
+        other => {
+            return Err(CoreError::BadRequest {
+                reason: format!(
+                    "rank {src} returned mismatched Out halves to rank {rank}: {:?} sequences",
+                    other.map(|h| h.map(|seqs| seqs.len()))
+                ),
+            })
+        }
+    };
     a.iter()
-        .zip(b)
+        .zip(&b)
         .map(|(ha, hb)| {
             Ok(SeqOut {
                 out: Tensor::concat_dim0([&ha.out, &hb.out])?,
@@ -1741,343 +963,107 @@ fn join_out_halves(
         .collect()
 }
 
-/// Bidirectional pass-Q prefill: each rank's query rows split at the
-/// midpoint, the A half circulating along the forward path and the B
-/// half along the reverse path, halving per-link Q bytes per hop. Each
-/// round attends both visiting halves (rows are independent, so the
-/// halves' outputs concatenate to the full-block partial bitwise) and
-/// returns each one eagerly to its origin — deferred to the final round
-/// when the origin is a still-active hop channel. The trailing gather
-/// receives **two** `Out` messages per peer; which half arrives first on
-/// each FIFO channel is fixed by which half the peer hosted first (A on
-/// a tie, matching the loop's post order within a round).
+/// Algorithm 3 — fused variable-length ring pass-Q partial prefill, as
+/// executed by one rank on the schedule cell `spec`.
+///
+/// `queries[i]` circulates; `local_kv[i]` is the stationary KV shard of the
+/// same fused-batch sequence — a [`RankKv::View`] attends the rank's paged
+/// cache **in place**. Each visiting origin's partial outputs are isent
+/// back the round they are computed (deferred to the final round when the
+/// origin is a still-active hop channel) and every rank finally collects
+/// its own partials with per-peer receives, folding sources in ascending
+/// rank order.
+///
+/// Sources fold in the same order on every cell, so all pass-Q cells —
+/// every direction, layout and depth — are bitwise identical.
+///
+/// Returns one [`AttentionOutput`] per sequence for **this rank's own**
+/// queries, rows in `pos` order.
 ///
 /// # Errors
 ///
-/// As [`ring_pass_q_prefill_on`].
-pub fn ring_pass_q_prefill_bidi(
+/// As [`ring_pass_kv_prefill`].
+pub fn ring_pass_q_prefill(
     comm: &Communicator<RingMsg>,
     params: &AttentionParams,
-    locals: &[LocalSeq],
-    layout: RingLayout,
-) -> Result<Vec<AttentionOutput>, CoreError> {
-    let (queries, kv) = locals_to_q_and_kv(locals);
-    ring_pass_q_prefill_bidi_kv(comm, params, &queries, &kv, layout)
-}
-
-/// [`ring_pass_q_prefill_bidi`] over [`RankKv`] stationary KV.
-///
-/// # Errors
-///
-/// As [`ring_pass_q_prefill_on`].
-pub fn ring_pass_q_prefill_bidi_kv(
-    comm: &Communicator<RingMsg>,
-    params: &AttentionParams,
+    spec: &RingSpec,
     queries: &[SeqQ],
     local_kv: &[RankKv<'_>],
-    layout: RingLayout,
 ) -> Result<Vec<AttentionOutput>, CoreError> {
-    let n = comm.world_size();
-    let k = comm.rank();
-    let fwd = layout.fwd(n)?;
-    let rev = layout.rev(n)?;
-    let is_hop_dst = hop_channels(k, &[fwd, rev]);
-
-    let mut vis_a = Vec::with_capacity(queries.len());
-    let mut vis_b = Vec::with_capacity(queries.len());
-    for sq in queries {
-        let (a, b) = sq.split_halves()?;
-        vis_a.push(a);
-        vis_b.push(b);
-    }
-
-    let mut own_a: Option<Vec<SeqOut>> = None;
-    let mut own_b: Option<Vec<SeqOut>> = None;
-    let mut deferred: Vec<(usize, RingMsg)> = Vec::new();
-    for j in 0..n {
-        if j + 1 == n {
-            // Flush point: all hop posts are behind us, so the stashed
-            // returns land on clean channels, in compute (= expected
-            // receive) order.
-            for (dst, msg) in deferred.drain(..) {
-                let _posted = comm.isend(dst, msg)?;
-            }
-        }
-        let origin_a = fwd.origin_at(k, j);
-        let origin_b = rev.origin_at(k, j);
-        let pends = if j + 1 < n {
-            let pf = comm.isend_irecv(
-                fwd.send_peer(k, j),
-                RingMsg::Q {
-                    origin: origin_a,
-                    seqs: vis_a.clone(),
-                },
-                fwd.recv_peer(k, j),
-            )?;
-            let pr = comm.isend_irecv(
-                rev.send_peer(k, j),
-                RingMsg::Q {
-                    origin: origin_b,
-                    seqs: vis_b.clone(),
-                },
-                rev.recv_peer(k, j),
-            )?;
-            Some((pf, pr))
-        } else {
-            None
-        };
-        let outs_a = attend_visiting_q(comm, params, local_kv, &vis_a, origin_a)?;
-        if origin_a == k {
-            own_a = Some(outs_a);
-        } else {
-            post_or_defer_return(comm, &is_hop_dst, &mut deferred, origin_a, j, outs_a)?;
-        }
-        let outs_b = attend_visiting_q(comm, params, local_kv, &vis_b, origin_b)?;
-        if origin_b == k {
-            own_b = Some(outs_b);
-        } else {
-            post_or_defer_return(comm, &is_hop_dst, &mut deferred, origin_b, j, outs_b)?;
-        }
-        if let Some((pf, pr)) = pends {
-            let (got, seqs) = expect_q(pf.wait()?, fwd.recv_peer(k, j))?;
-            check_path_order(k, fwd, fwd.recv_peer(k, j), j + 1, got)?;
-            vis_a = seqs;
-            let (got, seqs) = expect_q(pr.wait()?, rev.recv_peer(k, j))?;
-            check_path_order(k, rev, rev.recv_peer(k, j), j + 1, got)?;
-            vis_b = seqs;
-        }
-    }
-
-    let step_err = |host: usize, origin: usize| CoreError::Internal {
-        detail: format!("ring path never routes rank {origin}'s block through rank {host}"),
+    let plan = spec.lanes(RingAlgo::PassQ, comm.world_size())?;
+    let mut visitor = PassQVisitor {
+        params,
+        local_kv,
+        is_hop_dst: hop_channels(comm.rank(), plan.paths()),
+        deferred: Vec::new(),
+        ready: [None, None],
+        own: [None, None],
     };
-    let mut acc: Vec<Option<AttentionOutput>> = (0..queries.len()).map(|_| None).collect();
-    for src in 0..n {
-        let (outs_a, outs_b) = if src == k {
-            let a = own_a.take().ok_or_else(|| CoreError::Internal {
-                detail: format!("rank {k} never visited its own A-half queries"),
-            })?;
-            let b = own_b.take().ok_or_else(|| CoreError::Internal {
-                detail: format!("rank {k} never visited its own B-half queries"),
-            })?;
-            (a, b)
-        } else {
-            // src computed our A half at its forward-hosting round and our
-            // B half at its reverse-hosting round; its channel to us is
-            // FIFO, so the earlier round's return arrives first (ties are
-            // A-first: the loop posts the A return before the B return
-            // within a round).
-            let tau_a = fwd.step_of(src, k).ok_or_else(|| step_err(src, k))?;
-            let tau_b = rev.step_of(src, k).ok_or_else(|| step_err(src, k))?;
-            let first = expect_out(comm.recv(src)?, src)?;
-            let second = expect_out(comm.recv(src)?, src)?;
-            if tau_a <= tau_b {
-                (first, second)
-            } else {
-                (second, first)
-            }
-        };
-        let joined = join_out_halves(k, src, &outs_a, &outs_b)?;
-        comm.time_compute("merge pass-q", || {
-            fold_source_outs(k, &mut acc, src, &joined)
-        })?;
-    }
-    take_merged(acc, "pass-q")
+    circulate(comm, &plan, queries.to_vec(), &mut visitor)?;
+    visitor.gather(comm, plan.paths(), queries.len())
 }
 
-/// Algorithm 4 — batched ring pass-Q decode, as executed by one rank.
-///
-/// `slots` are this rank's decode assignments for the step (padded with
-/// `None` to the common `slots_per_rank`); `batch_kv[b]` is this rank's
-/// local KV shard of batch sequence `b`. Query slots circulate with their
-/// batch ids; each rank attends visiting queries against its local shard
-/// of the matching sequence; partial outputs return via `All2All` and are
-/// merged by the slot's owner.
-///
-/// The hop loop is **double-buffered** like [`ring_pass_kv_prefill`]: the
-/// next hop's `isend_irecv` is posted before attending to the visiting
-/// slots, with the origin rotation still checked at the loop bottom.
-/// [`ring_pass_q_decode_blocking`] keeps the compute-then-exchange
-/// ordering for A/B comparison.
-///
-/// Returns one merged [`AttentionOutput`] per real (non-padding) local
-/// slot, in slot order.
-///
-/// # Errors
-///
-/// Communication failures, shape mismatches, or protocol violations.
-pub fn ring_pass_q_decode(
-    comm: &Communicator<RingMsg>,
+/// Attends one batch of visiting decode slots (a full slot vector or a
+/// half) against the rank's local per-sequence KV shards.
+fn attend_decode_slots(
+    comm: &Comm,
     params: &AttentionParams,
-    slots: &[Option<DecodeSlot>],
-    batch_kv: &[SeqKv],
-) -> Result<Vec<AttentionOutput>, CoreError> {
-    let kv: Vec<RankKv<'static>> = batch_kv.iter().cloned().map(RankKv::tensors).collect();
-    ring_pass_q_decode_kv(comm, params, slots, &kv)
-}
-
-/// [`ring_pass_q_decode`] over [`RankKv`] local shards — the decode hot
-/// path engines use so each step attends the rank's paged caches **in
-/// place** (via [`KvView`]) instead of gathering every sequence's shard
-/// into fresh contiguous tensors per step per layer.
-///
-/// # Errors
-///
-/// Same failure modes as [`ring_pass_q_decode`].
-pub fn ring_pass_q_decode_kv(
-    comm: &Communicator<RingMsg>,
-    params: &AttentionParams,
-    slots: &[Option<DecodeSlot>],
     batch_kv: &[RankKv<'_>],
-) -> Result<Vec<AttentionOutput>, CoreError> {
-    let n = comm.world_size();
-    let k = comm.rank();
-
-    let mut visiting_origin = k;
-    let mut visiting: Vec<Option<DecodeSlot>> = slots.to_vec();
-    let mut computed: Vec<Option<Vec<Option<SeqOut>>>> = vec![None; n];
-
+    visiting: &[Option<DecodeSlot>],
+    origin: usize,
+) -> Result<Vec<Option<SeqOut>>, CoreError> {
     let pool = comm.pool();
-    for j in 0..n {
-        let origin = visiting_origin;
-        let pending = if j + 1 < n {
-            Some(comm.isend_irecv(
-                comm.ring_next(),
-                RingMsg::DecodeQ {
-                    origin: visiting_origin,
-                    slots: visiting.clone(),
-                },
-                comm.ring_prev(),
-            )?)
-        } else {
-            None
-        };
-        let outs: Vec<Option<SeqOut>> = comm.time_compute("attend decode", || {
-            map_seqs(pool, &visiting, |_, slot| {
-                slot.as_ref()
-                    .map(|s| {
-                        let kv = batch_kv.get(s.bid).ok_or_else(|| CoreError::BadRequest {
-                            reason: format!(
-                                "decode slot from rank {origin} references unknown batch id {}",
-                                s.bid
-                            ),
-                        })?;
-                        attend_rank_kv(pool, &s.q, &[s.pos], kv, params).map(|o| SeqOut {
-                            out: o.out,
-                            lse: o.lse,
-                        })
+    comm.time_compute("attend decode", || {
+        map_seqs(pool, visiting, |_, slot| {
+            slot.as_ref()
+                .map(|s| {
+                    let kv = batch_kv.get(s.bid).ok_or_else(|| CoreError::BadRequest {
+                        reason: format!(
+                            "decode slot from rank {origin} references unknown batch id {}",
+                            s.bid
+                        ),
+                    })?;
+                    attend_rank_kv(pool, &s.q, &[s.pos], kv, params).map(|o| SeqOut {
+                        out: o.out,
+                        lse: o.lse,
                     })
-                    .transpose()
-            })
-        })?;
-        let slot = computed
-            .get_mut(visiting_origin)
-            .ok_or_else(|| CoreError::Internal {
-                detail: format!("visiting origin {visiting_origin} out of range for world {n}"),
-            })?;
-        *slot = Some(outs);
-        if let Some(pending) = pending {
-            let received = pending.wait()?;
-            let (origin, s) = expect_decode_q(received, comm.ring_prev())?;
-            check_ring_order(k, n, comm.ring_prev(), j + 1, origin)?;
-            visiting_origin = origin;
-            visiting = s;
+                })
+                .transpose()
+        })
+    })
+}
+
+/// Decode: attend each visiting slot vector against the local shards and
+/// stash the partials per lane and origin for the shared `All2All` tail.
+struct DecodeVisitor<'a, 'kv> {
+    params: &'a AttentionParams,
+    batch_kv: &'a [RankKv<'kv>],
+    computed: [Vec<Option<Vec<Option<SeqOut>>>>; 2],
+}
+
+impl Visitor<Vec<Option<DecodeSlot>>> for DecodeVisitor<'_, '_> {
+    fn compute(
+        &mut self,
+        comm: &Comm,
+        round: usize,
+        lanes: &[Lane<Vec<Option<DecodeSlot>>>],
+    ) -> Result<(), CoreError> {
+        for (lane, table) in lanes.iter().zip(&mut self.computed) {
+            let origin = lane.path.origin_at(comm.rank(), round);
+            let outs =
+                attend_decode_slots(comm, self.params, self.batch_kv, &lane.visiting, origin)?;
+            *origin_slot(table, origin, "decode partials")? = Some(outs);
         }
+        Ok(())
     }
-
-    return_and_merge_decode(comm, slots, computed)
 }
 
-/// Blocking reference variant of [`ring_pass_q_decode`]: identical math
-/// and wire schedule, but each hop computes first and only then performs
-/// the exchange (`send_recv`), exposing the full wire time. Kept for A/B
-/// benchmarking of communication/compute overlap.
-///
-/// # Errors
-///
-/// Same failure modes as [`ring_pass_q_decode`].
-pub fn ring_pass_q_decode_blocking(
-    comm: &Communicator<RingMsg>,
-    params: &AttentionParams,
-    slots: &[Option<DecodeSlot>],
-    batch_kv: &[SeqKv],
-) -> Result<Vec<AttentionOutput>, CoreError> {
-    let kv: Vec<RankKv<'static>> = batch_kv.iter().cloned().map(RankKv::tensors).collect();
-    ring_pass_q_decode_blocking_kv(comm, params, slots, &kv)
-}
-
-/// [`ring_pass_q_decode_blocking`] over [`RankKv`] local shards — the
-/// blocking A/B twin of [`ring_pass_q_decode_kv`].
-///
-/// # Errors
-///
-/// Same failure modes as [`ring_pass_q_decode`].
-pub fn ring_pass_q_decode_blocking_kv(
-    comm: &Communicator<RingMsg>,
-    params: &AttentionParams,
-    slots: &[Option<DecodeSlot>],
-    batch_kv: &[RankKv<'_>],
-) -> Result<Vec<AttentionOutput>, CoreError> {
-    let n = comm.world_size();
-    let k = comm.rank();
-
-    let mut visiting_origin = k;
-    let mut visiting: Vec<Option<DecodeSlot>> = slots.to_vec();
-    let mut computed: Vec<Option<Vec<Option<SeqOut>>>> = vec![None; n];
-
-    let pool = comm.pool();
-    for j in 0..n {
-        let origin = visiting_origin;
-        let outs: Vec<Option<SeqOut>> = comm.time_compute("attend decode", || {
-            map_seqs(pool, &visiting, |_, slot| {
-                slot.as_ref()
-                    .map(|s| {
-                        let kv = batch_kv.get(s.bid).ok_or_else(|| CoreError::BadRequest {
-                            reason: format!(
-                                "decode slot from rank {origin} references unknown batch id {}",
-                                s.bid
-                            ),
-                        })?;
-                        attend_rank_kv(pool, &s.q, &[s.pos], kv, params).map(|o| SeqOut {
-                            out: o.out,
-                            lse: o.lse,
-                        })
-                    })
-                    .transpose()
-            })
-        })?;
-        let slot = computed
-            .get_mut(visiting_origin)
-            .ok_or_else(|| CoreError::Internal {
-                detail: format!("visiting origin {visiting_origin} out of range for world {n}"),
-            })?;
-        *slot = Some(outs);
-        if j + 1 < n {
-            let received = comm.send_recv(
-                comm.ring_next(),
-                RingMsg::DecodeQ {
-                    origin: visiting_origin,
-                    slots: visiting,
-                },
-                comm.ring_prev(),
-            )?;
-            let (origin, s) = expect_decode_q(received, comm.ring_prev())?;
-            check_ring_order(k, n, comm.ring_prev(), j + 1, origin)?;
-            visiting_origin = origin;
-            visiting = s;
-        }
-    }
-
-    return_and_merge_decode(comm, slots, computed)
-}
-
-/// Shared tail of both decode variants: return partial outputs to their
-/// owning rank via `All2All`, then fold each source's partials into a
-/// running accumulator per real local slot, in source-rank order
-/// (bit-identical between overlapped and blocking loops). Live outputs per
-/// slot stay O(1) instead of O(world).
+/// Shared tail of every decode strategy that exchanges outputs: return
+/// partial outputs to their owning rank via `All2All`, then fold each
+/// source's partials into a running accumulator per real local slot, in
+/// source-rank order. Live outputs per slot stay O(1) instead of O(world).
 fn return_and_merge_decode(
-    comm: &Communicator<RingMsg>,
+    comm: &Comm,
     slots: &[Option<DecodeSlot>],
     computed: Vec<Option<Vec<Option<SeqOut>>>>,
 ) -> Result<Vec<AttentionOutput>, CoreError> {
@@ -2088,14 +1074,17 @@ fn return_and_merge_decode(
         .map(|(s, outs)| {
             outs.map(|slots| RingMsg::DecodeOut { slots })
                 .ok_or_else(|| CoreError::Internal {
-                    detail: format!("origin {s} never visited in the decode ring loop"),
+                    detail: format!("origin {s} never visited in the decode loop"),
                 })
         })
         .collect::<Result<_, _>>()?;
     let received = comm.all_to_all(payloads)?;
     let mut per_source: Vec<Vec<Option<SeqOut>>> = Vec::with_capacity(n);
     for (src_rank, msg) in received.into_iter().enumerate() {
-        per_source.push(expect_decode_out(msg, src_rank)?);
+        let RingMsg::DecodeOut { slots } = msg else {
+            return Err(wrong_variant(src_rank, "DecodeOut", &msg));
+        };
+        per_source.push(slots);
     }
 
     comm.time_compute("merge decode", || {
@@ -2132,151 +1121,72 @@ fn return_and_merge_decode(
     })
 }
 
-/// Attends one batch of visiting decode slots (a full slot vector or a
-/// bidirectional half) against the rank's local per-sequence KV shards.
-fn attend_decode_slots(
-    comm: &Communicator<RingMsg>,
-    params: &AttentionParams,
-    batch_kv: &[RankKv<'_>],
-    visiting: &[Option<DecodeSlot>],
-    origin: usize,
-) -> Result<Vec<Option<SeqOut>>, CoreError> {
-    let pool = comm.pool();
-    comm.time_compute("attend decode", || {
-        map_seqs(pool, visiting, |_, slot| {
-            slot.as_ref()
-                .map(|s| {
-                    let kv = batch_kv.get(s.bid).ok_or_else(|| CoreError::BadRequest {
-                        reason: format!(
-                            "decode slot from rank {origin} references unknown batch id {}",
-                            s.bid
-                        ),
-                    })?;
-                    attend_rank_kv(pool, &s.q, &[s.pos], kv, params).map(|o| SeqOut {
-                        out: o.out,
-                        lse: o.lse,
-                    })
-                })
-                .transpose()
-        })
-    })
-}
-
-/// Bidirectional batched pass-Q decode: the slot vector splits at the
-/// midpoint, the first half circulating forward and the second in
-/// reverse on the flat ring, halving per-link decode-Q bytes per hop.
-/// Slots are independent single-token queries, so per-origin halves
-/// simply re-concatenate before the same `All2All` return and merge as
-/// [`ring_pass_q_decode`] — proptested bit-identical to it, with
-/// identical `All2All` bytes.
+/// Algorithm 4 — batched ring pass-Q decode, as executed by one rank on
+/// the schedule cell `spec` (flat layouts only).
+///
+/// `slots` are this rank's decode assignments for the step (padded with
+/// `None` to the common `slots_per_rank`); `batch_kv[b]` is this rank's
+/// local KV shard of batch sequence `b` — a [`RankKv::View`] attends the
+/// paged cache **in place** instead of gathering every sequence's shard
+/// per step per layer. Query slots circulate with their batch ids; each
+/// rank attends visiting queries against its local shard of the matching
+/// sequence; partial outputs return via `All2All` and are merged by the
+/// slot's owner in source-rank order, so every decode cell is bitwise
+/// identical.
+///
+/// Returns one merged [`AttentionOutput`] per real (non-padding) local
+/// slot, in slot order.
 ///
 /// # Errors
 ///
-/// Same failure modes as [`ring_pass_q_decode`].
-pub fn ring_pass_q_decode_bidi(
+/// As [`ring_pass_kv_prefill`].
+pub fn ring_pass_q_decode(
     comm: &Communicator<RingMsg>,
     params: &AttentionParams,
-    slots: &[Option<DecodeSlot>],
-    batch_kv: &[SeqKv],
-) -> Result<Vec<AttentionOutput>, CoreError> {
-    let kv: Vec<RankKv<'static>> = batch_kv.iter().cloned().map(RankKv::tensors).collect();
-    ring_pass_q_decode_bidi_kv(comm, params, slots, &kv)
-}
-
-/// [`ring_pass_q_decode_bidi`] over [`RankKv`] local shards.
-///
-/// # Errors
-///
-/// Same failure modes as [`ring_pass_q_decode`].
-pub fn ring_pass_q_decode_bidi_kv(
-    comm: &Communicator<RingMsg>,
-    params: &AttentionParams,
+    spec: &RingSpec,
     slots: &[Option<DecodeSlot>],
     batch_kv: &[RankKv<'_>],
 ) -> Result<Vec<AttentionOutput>, CoreError> {
     let n = comm.world_size();
-    let k = comm.rank();
-    let fwd = RingPath::FlatFwd { world: n };
-    let rev = RingPath::FlatRev { world: n };
-
-    let (mut vis_a, mut vis_b) = split_slot_vec(slots);
-    let mut computed_a: Vec<Option<Vec<Option<SeqOut>>>> = vec![None; n];
-    let mut computed_b: Vec<Option<Vec<Option<SeqOut>>>> = vec![None; n];
-
-    for j in 0..n {
-        let origin_a = fwd.origin_at(k, j);
-        let origin_b = rev.origin_at(k, j);
-        let pends = if j + 1 < n {
-            let pf = comm.isend_irecv(
-                fwd.send_peer(k, j),
-                RingMsg::DecodeQ {
-                    origin: origin_a,
-                    slots: vis_a.clone(),
-                },
-                fwd.recv_peer(k, j),
-            )?;
-            let pr = comm.isend_irecv(
-                rev.send_peer(k, j),
-                RingMsg::DecodeQ {
-                    origin: origin_b,
-                    slots: vis_b.clone(),
-                },
-                rev.recv_peer(k, j),
-            )?;
-            Some((pf, pr))
-        } else {
-            None
-        };
-        let outs_a = attend_decode_slots(comm, params, batch_kv, &vis_a, origin_a)?;
-        *origin_slot(&mut computed_a, origin_a, "bidi decode A partials")? = Some(outs_a);
-        let outs_b = attend_decode_slots(comm, params, batch_kv, &vis_b, origin_b)?;
-        *origin_slot(&mut computed_b, origin_b, "bidi decode B partials")? = Some(outs_b);
-        if let Some((pf, pr)) = pends {
-            let (got, s) = expect_decode_q(pf.wait()?, fwd.recv_peer(k, j))?;
-            check_path_order(k, fwd, fwd.recv_peer(k, j), j + 1, got)?;
-            vis_a = s;
-            let (got, s) = expect_decode_q(pr.wait()?, rev.recv_peer(k, j))?;
-            check_path_order(k, rev, rev.recv_peer(k, j), j + 1, got)?;
-            vis_b = s;
-        }
-    }
-
-    // Re-concatenate each origin's halves into original slot order, then
-    // run the exact unidirectional All2All return and merge.
-    let mut computed: Vec<Option<Vec<Option<SeqOut>>>> = Vec::with_capacity(n);
-    for o in 0..n {
-        let mut a = origin_slot(&mut computed_a, o, "bidi decode A partials")?
-            .take()
-            .ok_or_else(|| CoreError::Internal {
-                detail: format!("origin {o}'s A slots were never attended in the bidi decode loop"),
-            })?;
-        let b = origin_slot(&mut computed_b, o, "bidi decode B partials")?
-            .take()
-            .ok_or_else(|| CoreError::Internal {
-                detail: format!("origin {o}'s B slots were never attended in the bidi decode loop"),
-            })?;
-        a.extend(b);
-        computed.push(Some(a));
-    }
+    let plan = spec.lanes(RingAlgo::Decode, n)?;
+    let mut visitor = DecodeVisitor {
+        params,
+        batch_kv,
+        computed: [vec![None; n], vec![None; n]],
+    };
+    circulate(comm, &plan, slots.to_vec(), &mut visitor)?;
+    // Re-concatenate each origin's lane halves into original slot order
+    // (a second lane carried the back half of every slot vector).
+    let [first, second] = visitor.computed;
+    let computed = first
+        .into_iter()
+        .zip(second)
+        .map(|(a, b)| {
+            a.map(|mut outs| {
+                outs.extend(b.unwrap_or_default());
+                outs
+            })
+        })
+        .collect();
     return_and_merge_decode(comm, slots, computed)
 }
 
 /// Helix-style batched decode: one `AllGather` replicates every rank's
 /// query slots, each rank attends the **whole batch** against its local
 /// KV shards in a single sweep, and partials return through the same
-/// `All2All` + ascending-source merge as [`ring_pass_q_decode_kv`].
+/// `All2All` + ascending-source merge as [`ring_pass_q_decode`].
 ///
 /// Every rank computes exactly the partial it would have computed under
 /// the ring rotation (same queries, same local shard, same kernel block),
-/// and the shared [`return_and_merge_decode`] tail folds sources in the
-/// same ascending order — so Helix decode is **bit-identical** to batched
-/// pass-Q decode while replacing the `W - 1` serialized `SendRecv`
-/// launches with one collective.
+/// and the shared tail folds sources in the same ascending order — so
+/// Helix decode is **bit-identical** to batched pass-Q decode while
+/// replacing the `W - 1` serialized `SendRecv` launches with one
+/// collective.
 ///
 /// # Errors
 ///
 /// Same failure modes as [`ring_pass_q_decode`].
-pub fn helix_decode_kv(
+pub fn helix_decode(
     comm: &Communicator<RingMsg>,
     params: &AttentionParams,
     slots: &[Option<DecodeSlot>],
@@ -2290,39 +1200,23 @@ pub fn helix_decode_kv(
     })?;
     let mut computed: Vec<Option<Vec<Option<SeqOut>>>> = vec![None; n];
     for (src, msg) in gathered.into_iter().enumerate() {
-        let (origin, visiting) = expect_decode_q(msg, src)?;
-        if origin != src {
+        let (visiting, tag) = <Vec<Option<DecodeSlot>>>::decode(msg, src)?;
+        if tag != Some(src) {
             return Err(CoreError::BadRequest {
-                reason: format!("helix decode AllGather slot {src} carries origin tag {origin}"),
+                reason: format!("helix decode AllGather slot {src} carries origin tag {tag:?}"),
             });
         }
-        let outs = attend_decode_slots(comm, params, batch_kv, &visiting, origin)?;
-        *origin_slot(&mut computed, origin, "helix decode partials")? = Some(outs);
+        let outs = attend_decode_slots(comm, params, batch_kv, &visiting, src)?;
+        *origin_slot(&mut computed, src, "helix decode partials")? = Some(outs);
     }
     return_and_merge_decode(comm, slots, computed)
-}
-
-/// [`helix_decode_kv`] over gathered owned shards — convenience twin of
-/// [`ring_pass_q_decode`].
-///
-/// # Errors
-///
-/// Same failure modes as [`ring_pass_q_decode`].
-pub fn helix_decode(
-    comm: &Communicator<RingMsg>,
-    params: &AttentionParams,
-    slots: &[Option<DecodeSlot>],
-    batch_kv: &[SeqKv],
-) -> Result<Vec<AttentionOutput>, CoreError> {
-    let kv: Vec<RankKv<'static>> = batch_kv.iter().cloned().map(RankKv::tensors).collect();
-    helix_decode_kv(comm, params, slots, &kv)
 }
 
 /// TP-only batched decode: every rank `AllGather`s the batch's per-rank
 /// KV shards, then each slot's **owner** attends the full context locally
 /// — one partial per source shard, folded in ascending rank order, which
 /// is the exact per-shard computation and merge order of
-/// [`ring_pass_q_decode_kv`], so outputs stay bit-identical to pass-Q.
+/// [`ring_pass_q_decode`], so outputs stay bit-identical to pass-Q.
 ///
 /// `wire_kv[b]` is this rank's owned shard of batch sequence `b` (the
 /// gathered twin of `batch_kv[b]`), and `attn_block` the kernel block the
@@ -2341,7 +1235,7 @@ pub fn helix_decode(
 /// Same failure modes as [`ring_pass_q_decode`], plus
 /// [`CoreError::BadRequest`] if a peer's gathered shard set is missing a
 /// batch sequence.
-pub fn tp_only_decode_kv(
+pub fn tp_only_decode(
     comm: &Communicator<RingMsg>,
     params: &AttentionParams,
     slots: &[Option<DecodeSlot>],
@@ -2371,7 +1265,7 @@ pub fn tp_only_decode_kv(
     })?;
     let mut per_rank: Vec<Vec<SeqKv>> = Vec::with_capacity(n);
     for (src, msg) in gathered.into_iter().enumerate() {
-        per_rank.push(expect_kv(msg, src)?);
+        per_rank.push(<Vec<SeqKv>>::decode(msg, src)?.0);
     }
     comm.time_compute("attend decode", || {
         let outs = map_seqs(pool, slots, |_, slot| {
@@ -2411,6 +1305,10 @@ pub fn tp_only_decode_kv(
 
 /// Adapter: runs a per-rank ring body inside [`cp_comm::run_ranks`],
 /// mapping `CoreError` in and out of the fabric's `CommError`.
+///
+/// # Errors
+///
+/// The body's first error in rank order.
 pub fn run_ring<T, F>(
     n_ranks: usize,
     body: F,
@@ -2422,33 +1320,12 @@ where
     run_ring_on(n_ranks, 0, None, body)
 }
 
-/// [`run_ring`] under a [`cp_comm::CheckedFabric`]: every collective the
-/// body issues is validated live against `plan` (peer, variant, byte count,
-/// op order), turning schedule drift into a hard error instead of silent
-/// mismeasurement. Debug/test harness for the serving engines.
-///
-/// # Errors
-///
-/// As [`run_ring`], plus [`CoreError::Comm`] wrapping
-/// [`cp_comm::CommError::PlanViolation`] when traffic diverges from the
-/// declared schedule.
-pub fn run_ring_checked<T, F>(
-    plan: &cp_comm::CommPlan,
-    body: F,
-) -> Result<(Vec<T>, cp_comm::TrafficReport), CoreError>
-where
-    T: Send,
-    F: Fn(&Communicator<RingMsg>) -> Result<T, CoreError> + Sync,
-{
-    run_ring_on(plan.world, 0, Some(plan), body)
-}
-
 /// Groups one batched decode tick's slots by owner rank. `owners[b]` is
 /// the rank whose cache receives batch element `b`'s new KV this step
 /// (each sequence rotates independently under §3.6). Returns the per-rank
 /// batch-index lists, in slot order, plus the common padded slot count:
 /// the slot lists circulate on the ring, so every rank's `slots` argument
-/// to [`ring_pass_q_decode_kv`] must be resized (with `None`) to the same
+/// to [`ring_pass_q_decode`] must be resized (with `None`) to the same
 /// length.
 ///
 /// # Errors
@@ -2481,13 +1358,17 @@ pub fn decode_slot_layout(
 
 /// The fully-general ring runner: `pool_threads` sets each rank's
 /// persistent [`cp_pool::ComputePool`] width (`0` = the fabric default),
-/// and a `Some(plan)` runs under a [`cp_comm::CheckedFabric`] with live
-/// schedule validation. [`run_ring`] and [`run_ring_checked`] are thin
-/// wrappers over this.
+/// and a `Some(plan)` runs under a [`cp_comm::CheckedFabric`], where every
+/// collective the body issues is validated live against `plan` (peer,
+/// variant, byte count, op order), turning schedule drift into a hard
+/// error instead of silent mismeasurement. [`run_ring`] is the unchecked
+/// default-pool shorthand.
 ///
 /// # Errors
 ///
-/// As [`run_ring`]/[`run_ring_checked`] respectively.
+/// As [`run_ring`], plus [`CoreError::Comm`] wrapping
+/// [`cp_comm::CommError::PlanViolation`] when checked traffic diverges
+/// from the declared schedule.
 pub fn run_ring_on<T, F>(
     n_ranks: usize,
     pool_threads: usize,
@@ -2498,8 +1379,7 @@ where
     T: Send,
     F: Fn(&Communicator<RingMsg>) -> Result<T, CoreError> + Sync,
 {
-    let wrapped =
-        |comm: &Communicator<RingMsg>| body(comm).map_err(|e| to_comm_error(comm.rank(), e));
+    let wrapped = |comm: &Comm| body(comm).map_err(|e| to_comm_error(comm.rank(), e));
     let result = match plan {
         Some(plan) => cp_comm::CheckedFabric::new(plan.clone())
             .compute_pool(pool_threads)
@@ -2514,9 +1394,52 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::RingLayout;
     use cp_attention::{naive_gqa_attention, GqaShape, PAD};
+    use cp_comm::Topology;
+    use cp_perf::RingDirection;
     use cp_sharding::ShardPlan;
     use cp_tensor::DetRng;
+
+    /// The default cell, one bidirectional cell and one hierarchical cell
+    /// (1 node × 2 ranks): the peer-fault tests take the spec as an input.
+    fn fault_cells() -> [RingSpec; 3] {
+        [
+            RingSpec::default(),
+            RingSpec {
+                direction: RingDirection::Bidi,
+                ..RingSpec::default()
+            },
+            RingSpec {
+                layout: RingLayout::Hier(Topology::new(1, 2)),
+                ..RingSpec::default()
+            },
+        ]
+    }
+
+    /// Pass-Q over a rank's `LocalSeq` shards (owned KV tensors).
+    fn pass_q(
+        comm: &Comm,
+        p: &AttentionParams,
+        spec: &RingSpec,
+        locals: &[LocalSeq],
+    ) -> Result<Vec<AttentionOutput>, CoreError> {
+        let queries: Vec<SeqQ> = locals.iter().map(LocalSeq::queries).collect();
+        let kv: Vec<RankKv<'_>> = locals.iter().map(|l| l.kv().into()).collect();
+        ring_pass_q_prefill(comm, p, spec, &queries, &kv)
+    }
+
+    /// Pass-Q decode over owned per-sequence shards.
+    fn decode(
+        comm: &Comm,
+        p: &AttentionParams,
+        spec: &RingSpec,
+        slots: &[Option<DecodeSlot>],
+        batch_kv: &[SeqKv],
+    ) -> Result<Vec<AttentionOutput>, CoreError> {
+        let kv: Vec<RankKv<'_>> = batch_kv.iter().cloned().map(RankKv::from).collect();
+        ring_pass_q_decode(comm, p, spec, slots, &kv)
+    }
 
     fn params(nh: usize, nkv: usize, dh: usize) -> AttentionParams {
         AttentionParams::for_shape(GqaShape::new(nh, nkv, dh).unwrap())
@@ -2594,7 +1517,7 @@ mod tests {
         let p = params(4, 2, 8);
         let (locals, reference, rank_pos) = build_full_prefill(2, 32, &p, 11);
         let (outputs, report) = run_ring(2, |comm| {
-            ring_pass_kv_prefill(comm, &p, &locals[comm.rank()])
+            ring_pass_kv_prefill(comm, &p, &RingSpec::default(), &locals[comm.rank()])
         })
         .unwrap();
         check_against_reference(&outputs, &reference, &rank_pos);
@@ -2605,14 +1528,7 @@ mod tests {
             .map(|r| {
                 use cp_comm::Wire;
                 RingMsg::Kv {
-                    seqs: locals[r]
-                        .iter()
-                        .map(|l| SeqKv {
-                            k: l.k.clone(),
-                            v: l.v.clone(),
-                            pos: l.kv_pos.clone(),
-                        })
-                        .collect(),
+                    seqs: locals[r].iter().map(LocalSeq::kv).collect(),
                 }
                 .wire_bytes()
             })
@@ -2628,7 +1544,7 @@ mod tests {
         for n in [1, 3, 4, 5] {
             let (locals, reference, rank_pos) = build_full_prefill(n, 41, &p, n as u64);
             let (outputs, _) = run_ring(n, |comm| {
-                ring_pass_kv_prefill(comm, &p, &locals[comm.rank()])
+                ring_pass_kv_prefill(comm, &p, &RingSpec::default(), &locals[comm.rank()])
             })
             .unwrap();
             check_against_reference(&outputs, &reference, &rank_pos);
@@ -2641,7 +1557,7 @@ mod tests {
         for n in [1, 2, 3, 4] {
             let (locals, reference, rank_pos) = build_full_prefill(n, 37, &p, 100 + n as u64);
             let (outputs, _) = run_ring(n, |comm| {
-                ring_pass_q_prefill(comm, &p, &locals[comm.rank()])
+                pass_q(comm, &p, &RingSpec::default(), &locals[comm.rank()])
             })
             .unwrap();
             check_against_reference(&outputs, &reference, &rank_pos);
@@ -2653,11 +1569,11 @@ mod tests {
         let p = params(4, 4, 4);
         let (locals, _, _) = build_full_prefill(3, 26, &p, 9);
         let (kv_out, _) = run_ring(3, |comm| {
-            ring_pass_kv_prefill(comm, &p, &locals[comm.rank()])
+            ring_pass_kv_prefill(comm, &p, &RingSpec::default(), &locals[comm.rank()])
         })
         .unwrap();
         let (q_out, _) = run_ring(3, |comm| {
-            ring_pass_q_prefill(comm, &p, &locals[comm.rank()])
+            pass_q(comm, &p, &RingSpec::default(), &locals[comm.rank()])
         })
         .unwrap();
         for r in 0..3 {
@@ -2678,14 +1594,7 @@ mod tests {
             .map(|r| {
                 use cp_comm::Wire;
                 RingMsg::Kv {
-                    seqs: locals[r]
-                        .iter()
-                        .map(|l| SeqKv {
-                            k: l.k.clone(),
-                            v: l.v.clone(),
-                            pos: l.kv_pos.clone(),
-                        })
-                        .collect(),
+                    seqs: locals[r].iter().map(LocalSeq::kv).collect(),
                 }
                 .wire_bytes()
             })
@@ -2735,7 +1644,13 @@ mod tests {
             .collect();
 
         let (outputs, _) = run_ring(n, |comm| {
-            ring_pass_q_decode(comm, &p, &slots[comm.rank()], &batch_kv[comm.rank()])
+            decode(
+                comm,
+                &p,
+                &RingSpec::default(),
+                &slots[comm.rank()],
+                &batch_kv[comm.rank()],
+            )
         })
         .unwrap();
         assert_eq!(outputs[0].len(), 1);
@@ -2775,7 +1690,13 @@ mod tests {
             vec![None],
         ];
         let (outputs, _) = run_ring(n, |comm| {
-            ring_pass_q_decode(comm, &p, &slots[comm.rank()], &batch_kv[comm.rank()])
+            decode(
+                comm,
+                &p,
+                &RingSpec::default(),
+                &slots[comm.rank()],
+                &batch_kv[comm.rank()],
+            )
         })
         .unwrap();
         assert!(outputs[0][0].out.approx_eq(&reference.out, 1e-4).unwrap());
@@ -2789,7 +1710,10 @@ mod tests {
             q: Tensor::zeros(&[1, 1, 2]),
             pos: 0,
         })];
-        let err = run_ring(1, |comm| ring_pass_q_decode(comm, &p, &slots, &[])).unwrap_err();
+        let err = run_ring(1, |comm| {
+            decode(comm, &p, &RingSpec::default(), &slots, &[])
+        })
+        .unwrap_err();
         // Surfaced through the fabric as a failed rank, preserving the
         // failing rank and the original error's kind and message.
         match err {
@@ -2822,7 +1746,7 @@ mod tests {
             vec![mk_seq(&mut rng, 4, 4), mk_seq(&mut rng, 4, 8)],
         ];
         let err = run_ring(2, |comm| {
-            ring_pass_q_prefill(comm, &p, &locals[comm.rank()])
+            pass_q(comm, &p, &RingSpec::default(), &locals[comm.rank()])
         })
         .unwrap_err();
         match err {
@@ -2834,43 +1758,59 @@ mod tests {
         }
     }
 
-    #[test]
-    fn wrong_variant_from_peer_is_protocol_violation_naming_rank() {
-        // Rank 1 violates the pass-KV protocol by forwarding a Q payload.
-        // Rank 0 must reject it with a typed error naming rank 1.
-        let p = params(1, 1, 2);
-        let mut rng = DetRng::new(22);
-        let local = LocalSeq {
+    /// A misbehaving rank 1 that follows the cell's hop schedule — one
+    /// `bad` message per lane — and nothing else.
+    fn misbehave(comm: &Comm, spec: &RingSpec, bad: &RingMsg) -> Result<(), CoreError> {
+        let plan = spec.lanes(RingAlgo::PassQ, 2)?;
+        for _ in plan.paths() {
+            comm.send_recv(comm.ring_next(), bad.clone(), comm.ring_prev())?;
+        }
+        Ok(())
+    }
+
+    fn two_token_local(seed: u64) -> LocalSeq {
+        let mut rng = DetRng::new(seed);
+        LocalSeq {
             q: rng.tensor(&[2, 1, 2]),
             q_pos: vec![0, 1],
             k: rng.tensor(&[2, 1, 2]),
             v: rng.tensor(&[2, 1, 2]),
             kv_pos: vec![0, 1],
-        };
-        let err = run_ring(2, |comm| {
-            if comm.rank() == 0 {
-                ring_pass_kv_prefill(comm, &p, std::slice::from_ref(&local)).map(|_| ())
-            } else {
-                // Misbehaving peer: sends a Q message during the KV pass.
-                let bad = RingMsg::Q {
-                    origin: 1,
-                    seqs: vec![SeqQ {
-                        q: local.q.clone(),
-                        pos: local.q_pos.clone(),
-                    }],
-                };
-                comm.send_recv(comm.ring_next(), bad, comm.ring_prev())?;
-                Ok(())
-            }
-        })
-        .unwrap_err();
+        }
+    }
+
+    fn expect_rank_failed(err: CoreError) -> (usize, &'static str, String) {
         match err {
             CoreError::Comm(cp_comm::CommError::RankFailed { rank, kind, detail }) => {
-                assert_eq!(rank, 0);
-                assert_eq!(kind, "protocol-violation");
-                assert!(detail.contains("rank 1 sent Q, expected Kv"), "{detail}");
+                (rank, kind, detail)
             }
             other => panic!("expected RankFailed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn wrong_variant_from_peer_is_protocol_violation_naming_rank() {
+        // Rank 1 violates the pass-KV protocol by forwarding a Q payload.
+        // Rank 0 must reject it with a typed error naming rank 1.
+        let p = params(1, 1, 2);
+        let local = two_token_local(22);
+        let bad = RingMsg::Q {
+            origin: 1,
+            seqs: vec![local.queries()],
+        };
+        for spec in fault_cells() {
+            let err = run_ring(2, |comm| {
+                if comm.rank() == 0 {
+                    ring_pass_kv_prefill(comm, &p, &spec, std::slice::from_ref(&local)).map(|_| ())
+                } else {
+                    misbehave(comm, &spec, &bad)
+                }
+            })
+            .unwrap_err();
+            let (rank, kind, detail) = expect_rank_failed(err);
+            assert_eq!(rank, 0, "{spec:?}");
+            assert_eq!(kind, "protocol-violation", "{spec:?}");
+            assert!(detail.contains("rank 1 sent Q, expected Kv"), "{detail}");
         }
     }
 
@@ -2881,38 +1821,25 @@ mod tests {
         // — a dropped or duplicated ring step). Rank 0 must reject it via
         // the rotation invariant, naming the forwarding peer.
         let p = params(1, 1, 2);
-        let mut rng = DetRng::new(31);
-        let local = LocalSeq {
-            q: rng.tensor(&[2, 1, 2]),
-            q_pos: vec![0, 1],
-            k: rng.tensor(&[2, 1, 2]),
-            v: rng.tensor(&[2, 1, 2]),
-            kv_pos: vec![0, 1],
+        let local = two_token_local(31);
+        let bad = RingMsg::Q {
+            origin: 0, // should be 1: rank 1 holds its own block at step 0
+            seqs: vec![local.queries()],
         };
-        let err = run_ring(2, |comm| {
-            if comm.rank() == 0 {
-                ring_pass_q_prefill(comm, &p, std::slice::from_ref(&local)).map(|_| ())
-            } else {
-                let bad = RingMsg::Q {
-                    origin: 0, // should be 1: rank 1 holds its own block at step 0
-                    seqs: vec![SeqQ {
-                        q: local.q.clone(),
-                        pos: local.q_pos.clone(),
-                    }],
-                };
-                comm.send_recv(comm.ring_next(), bad, comm.ring_prev())?;
-                Ok(())
-            }
-        })
-        .unwrap_err();
-        match err {
-            CoreError::Comm(cp_comm::CommError::RankFailed { rank, kind, detail }) => {
-                assert_eq!(rank, 0);
-                assert_eq!(kind, "ring-order-violation");
-                assert!(detail.contains("rank 1"), "{detail}");
-                assert!(detail.contains("origin 0"), "{detail}");
-            }
-            other => panic!("expected RankFailed, got {other:?}"),
+        for spec in fault_cells() {
+            let err = run_ring(2, |comm| {
+                if comm.rank() == 0 {
+                    pass_q(comm, &p, &spec, std::slice::from_ref(&local)).map(|_| ())
+                } else {
+                    misbehave(comm, &spec, &bad)
+                }
+            })
+            .unwrap_err();
+            let (rank, kind, detail) = expect_rank_failed(err);
+            assert_eq!(rank, 0, "{spec:?}");
+            assert_eq!(kind, "ring-order-violation", "{spec:?}");
+            assert!(detail.contains("rank 1"), "{detail}");
+            assert!(detail.contains("origin 0"), "{detail}");
         }
     }
 
@@ -2920,61 +1847,104 @@ mod tests {
     fn short_decode_out_from_peer_errors_instead_of_panicking() {
         // Rank 1 returns fewer decode partial slots than rank 0's slot
         // count; the merge must fail with a typed error naming rank 1
-        // instead of indexing out of bounds.
+        // instead of indexing out of bounds. Decode rings are flat, so the
+        // hierarchical cell does not apply.
         let p = params(1, 1, 2);
         let mut rng = DetRng::new(23);
-        let k = rng.tensor(&[2, 1, 2]);
-        let v = rng.tensor(&[2, 1, 2]);
-        let q = rng.tensor(&[1, 1, 2]);
         let batch_kv = vec![SeqKv {
-            k,
-            v,
+            k: rng.tensor(&[2, 1, 2]),
+            v: rng.tensor(&[2, 1, 2]),
             pos: vec![0, 1],
         }];
         let slots = vec![
             None,
             Some(DecodeSlot {
                 bid: 0,
-                q: q.clone(),
+                q: rng.tensor(&[1, 1, 2]),
                 pos: 2,
             }),
         ];
-        let err = run_ring(2, |comm| {
-            if comm.rank() == 0 {
-                ring_pass_q_decode(comm, &p, &slots, &batch_kv).map(|_| ())
-            } else {
-                // Misbehaving peer: follows the ring schedule but returns a
-                // truncated All2All payload to rank 0.
-                let received = comm.send_recv(
-                    comm.ring_next(),
-                    RingMsg::DecodeQ {
+        for spec in fault_cells()
+            .into_iter()
+            .filter(|s| s.layout == RingLayout::Flat)
+        {
+            let err = run_ring(2, |comm| {
+                if comm.rank() == 0 {
+                    decode(comm, &p, &spec, &slots, &batch_kv).map(|_| ())
+                } else {
+                    // Misbehaving peer: follows the ring schedule (each lane
+                    // carries its half of the two padding slots) but returns
+                    // a truncated All2All payload to rank 0.
+                    let lanes = spec.lanes(RingAlgo::Decode, 2)?.paths().len();
+                    let hop = RingMsg::DecodeQ {
                         origin: 1,
-                        slots: vec![None, None],
-                    },
-                    comm.ring_prev(),
-                )?;
-                let _ = received;
-                comm.all_to_all(vec![
-                    RingMsg::DecodeOut { slots: vec![None] },
-                    RingMsg::DecodeOut {
-                        slots: vec![None, None],
-                    },
-                ])?;
-                Ok(())
-            }
+                        slots: vec![None; 2 / lanes],
+                    };
+                    misbehave(comm, &spec, &hop)?;
+                    comm.all_to_all(vec![
+                        RingMsg::DecodeOut { slots: vec![None] },
+                        RingMsg::DecodeOut {
+                            slots: vec![None, None],
+                        },
+                    ])?;
+                    Ok(())
+                }
+            })
+            .unwrap_err();
+            let (rank, kind, detail) = expect_rank_failed(err);
+            assert_eq!(rank, 0, "{spec:?}");
+            assert_eq!(kind, "bad-request", "{spec:?}");
+            assert!(
+                detail.contains("rank 1 returned 1 decode partial slots"),
+                "{detail}"
+            );
+        }
+    }
+
+    #[test]
+    fn unsupported_cells_are_rejected_before_any_message() {
+        // A lone rank 0 would hang on its first hop if the loop posted
+        // anything; a typed error proves the cell was refused up front.
+        let p = params(1, 1, 2);
+        let local = two_token_local(41);
+        let bidi_chunked = RingSpec {
+            direction: RingDirection::Bidi,
+            depth: 2,
+            ..RingSpec::default()
+        };
+        let int8_chunked = RingSpec {
+            wire: RingWire::Int8,
+            depth: 2,
+            ..RingSpec::default()
+        };
+        let too_deep = RingSpec {
+            depth: 3,
+            ..RingSpec::default()
+        };
+        for spec in [bidi_chunked, int8_chunked, too_deep] {
+            let err = run_ring(2, |comm| {
+                ring_pass_kv_prefill(comm, &p, &spec, std::slice::from_ref(&local))
+            })
+            .unwrap_err();
+            let (_, kind, detail) = expect_rank_failed(err);
+            assert_eq!(kind, "bad-request", "{spec:?}");
+            assert!(detail.contains("unsupported ring cell"), "{detail}");
+        }
+        let int8_q = RingSpec {
+            wire: RingWire::Int8,
+            ..RingSpec::default()
+        };
+        let err = run_ring(2, |comm| {
+            pass_q(comm, &p, &int8_q, std::slice::from_ref(&local))
         })
         .unwrap_err();
-        match err {
-            CoreError::Comm(cp_comm::CommError::RankFailed { rank, kind, detail }) => {
-                assert_eq!(rank, 0);
-                assert_eq!(kind, "bad-request");
-                assert!(
-                    detail.contains("rank 1 returned 1 decode partial slots"),
-                    "{detail}"
-                );
-            }
-            other => panic!("expected RankFailed, got {other:?}"),
-        }
+        assert_eq!(expect_rank_failed(err).1, "bad-request");
+        let hier_decode = RingSpec {
+            layout: RingLayout::Hier(Topology::new(1, 2)),
+            ..RingSpec::default()
+        };
+        let err = run_ring(2, |comm| decode(comm, &p, &hier_decode, &[], &[])).unwrap_err();
+        assert_eq!(expect_rank_failed(err).1, "bad-request");
     }
 
     #[test]

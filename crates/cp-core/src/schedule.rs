@@ -18,6 +18,7 @@
 //! To add a schedule for a new collective, declare a builder here that
 //! emits one [`cp_comm::RankPlan`] per rank and derives every byte count
 //! from the payload type's `Wire` impl — never hand-compute sizes.
+//! [`ring_plan`] maps a ring schedule cell ([`RingSpec`]) to its builder.
 
 use cp_attention::AttentionParams;
 pub use cp_comm::Topology;
@@ -27,8 +28,10 @@ use crate::error::to_comm_error;
 use crate::messages::{
     split_slot_vec, DecodeSlot, LocalSeq, QuantSeqKv, RingMsg, SeqKv, SeqQ, ELEM_BYTES,
 };
+use crate::spec::{RingAlgo, RingSpec, RingWire};
 use crate::CoreError;
 use cp_kvcache::QuantizedKv;
+use cp_perf::RingDirection;
 
 /// Which rank's block rank `rank` holds at ring step `step` (0-based), for
 /// a `world`-rank ring rotating towards `rank + 1`.
@@ -433,8 +436,8 @@ pub fn pass_kv_plan(locals: &[Vec<LocalSeq>]) -> Result<CommPlan, CoreError> {
 /// partial outputs the moment its hop computes (posted *before* the next
 /// hop is waited on, so return traffic hides under remaining compute), and
 /// `N-1` trailing `Recv`s collecting this rank's own partials from every
-/// peer in ascending source order. Replaces the single exposed `All2All`
-/// of the blocking variant — same permutation, overlapped transport.
+/// peer in ascending source order. Replaces a single exposed trailing
+/// `All2All` — same permutation, overlapped transport — at every depth.
 ///
 /// # Errors
 ///
@@ -535,7 +538,7 @@ fn decode_byte_tables(
 }
 
 /// Declares the Helix decode schedule
-/// ([`crate::ring::helix_decode_kv`]) for all ranks: one `AllGather`
+/// ([`crate::ring::helix_decode`]) for all ranks: one `AllGather`
 /// replicating every rank's decode slots, then the same `All2All` of
 /// partial outputs as [`decode_plan`] — the `N-1` serialized ring hops
 /// collapse into a single collective carrying identical total bytes.
@@ -572,7 +575,7 @@ pub fn helix_decode_plan(
 }
 
 /// Declares the TP-only decode schedule
-/// ([`crate::ring::tp_only_decode_kv`]) for all ranks: one `AllGather`
+/// ([`crate::ring::tp_only_decode`]) for all ranks: one `AllGather`
 /// moving every rank's per-sequence KV shards (`kv_bytes[r]` wire bytes
 /// from rank `r`), after which each slot's owner attends the full context
 /// locally — no output exchange. At `world == 1` the loop issues no
@@ -758,7 +761,7 @@ pub fn pass_kv_plan_on(
 /// at the token midpoint, the A half circulating forward and the B half
 /// in reverse simultaneously, so per-link bytes per step halve. Each
 /// round posts the forward hop then the reverse hop, exactly as
-/// [`crate::ring::ring_pass_kv_prefill_bidi`] issues them.
+/// the bidirectional [`crate::ring::ring_pass_kv_prefill`] issues them.
 ///
 /// # Errors
 ///
@@ -786,7 +789,7 @@ pub fn pass_kv_bidi_plan(
 }
 
 /// Declares the depth-2 pipelined pass-KV prefill schedule
-/// ([`crate::ring::ring_pass_kv_prefill_chunked`]): each hop's payload
+/// ([`crate::ring::ring_pass_kv_prefill`] at depth 2): each hop's payload
 /// splits into two chunks that both travel forward as separate messages,
 /// and each chunk is forwarded the moment it arrives — before its sibling
 /// lands (cut-through). On a serialized link this roughly halves the
@@ -863,7 +866,7 @@ fn kv_quant_half_bytes(locals: &[Vec<LocalSeq>]) -> Result<(Vec<usize>, Vec<usiz
 }
 
 /// Declares the compressed unidirectional pass-KV prefill schedule
-/// ([`crate::ring::ring_pass_kv_prefill_quant_on`]) over a
+/// ([`crate::ring::ring_pass_kv_prefill`] on the INT8 wire) over a
 /// [`RingLayout`]: hop-for-hop the schedule of [`pass_kv_plan_on`], each
 /// hop carrying the INT8 `KvQuant` payload — `2·l·n_kv·(d + 4)` bytes per
 /// block instead of the f32 `2·l·n_kv·d·4`.
@@ -893,7 +896,7 @@ pub fn pass_kv_quant_plan_on(
 }
 
 /// Declares the compressed bidirectional pass-KV prefill schedule
-/// ([`crate::ring::ring_pass_kv_prefill_quant_bidi`]) over a
+/// (bidirectional [`crate::ring::ring_pass_kv_prefill`] on the INT8 wire) over a
 /// [`RingLayout`]: the hop pattern of [`pass_kv_bidi_plan`] with INT8
 /// half payloads in both directions.
 ///
@@ -993,7 +996,7 @@ pub fn pass_q_plan_on(
 /// peer; their order on each FIFO channel is fixed by which half the
 /// peer hosted first (A before B on a tie, matching the loop's
 /// post order within a round) — exactly how
-/// [`crate::ring::ring_pass_q_prefill_bidi_kv`] disambiguates them.
+/// the bidirectional [`crate::ring::ring_pass_q_prefill`] disambiguates them.
 ///
 /// # Errors
 ///
@@ -1243,6 +1246,54 @@ pub fn stacked_plan(layer_plan: CommPlan, layers: usize) -> CommPlan {
     CommPlan::from_ranks(ranks)
 }
 
+/// One ring algorithm's per-rank inputs, exactly as its loop in
+/// [`crate::ring`] receives them (`[r]` is rank `r`'s).
+#[derive(Debug, Clone, Copy)]
+pub enum RingInput<'a> {
+    /// [`crate::ring::ring_pass_kv_prefill`] over these fused batches.
+    PassKv(&'a [Vec<LocalSeq>]),
+    /// [`crate::ring::ring_pass_q_prefill`] over these fused batches.
+    PassQ(&'a [Vec<LocalSeq>]),
+    /// [`crate::ring::ring_pass_q_decode`] over these padded slot vectors.
+    Decode(&'a [Vec<Option<DecodeSlot>>]),
+}
+
+/// Declares the schedule the ring loop issues for `input` on the cell
+/// `spec` — the one place a cell is matched to its plan builder. Depth 0
+/// and depth 1 post the same ops in the same order, so they share a plan.
+///
+/// # Errors
+///
+/// [`CoreError::BadRequest`] for an empty rank list, a topology that does
+/// not cover the rank count, or a cell the loops do not support (the same
+/// cells [`crate::ring`] rejects).
+pub fn ring_plan(
+    input: RingInput<'_>,
+    spec: &RingSpec,
+    params: &AttentionParams,
+) -> Result<CommPlan, CoreError> {
+    let (algo, world) = match input {
+        RingInput::PassKv(locals) => (RingAlgo::PassKv, locals.len()),
+        RingInput::PassQ(locals) => (RingAlgo::PassQ, locals.len()),
+        RingInput::Decode(slots) => (RingAlgo::Decode, slots.len()),
+    };
+    spec.lanes(algo, nonzero_world(world)?)?;
+    let bidi = spec.direction == RingDirection::Bidi;
+    match input {
+        RingInput::PassKv(locals) => match (spec.wire, bidi) {
+            (RingWire::F32, false) if spec.depth == 2 => pass_kv_chunked_plan(locals),
+            (RingWire::F32, false) => pass_kv_plan_on(locals, spec.layout),
+            (RingWire::F32, true) => pass_kv_bidi_plan(locals, spec.layout),
+            (RingWire::Int8, false) => pass_kv_quant_plan_on(locals, spec.layout),
+            (RingWire::Int8, true) => pass_kv_quant_bidi_plan(locals, spec.layout),
+        },
+        RingInput::PassQ(locals) if bidi => pass_q_bidi_plan(params, locals, spec.layout),
+        RingInput::PassQ(locals) => pass_q_plan_on(params, locals, spec.layout),
+        RingInput::Decode(slots) if bidi => decode_bidi_plan(params, slots),
+        RingInput::Decode(slots) => decode_plan(params, slots),
+    }
+}
+
 fn nonzero_world(n: usize) -> Result<usize, CoreError> {
     if n == 0 {
         return Err(CoreError::BadRequest {
@@ -1278,7 +1329,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::{ring_pass_kv_prefill, ring_pass_q_decode, ring_pass_q_prefill};
+    use crate::ring::{ring_pass_kv_prefill, ring_pass_q_decode, ring_pass_q_prefill, RankKv};
     use cp_attention::GqaShape;
     use cp_tensor::DetRng;
 
@@ -1427,7 +1478,7 @@ mod tests {
             let predicted = plan.predicted_traffic();
             let fabric = CheckedFabric::new(plan);
             let (outs, report) = run_ring_checked(&fabric, |comm| {
-                ring_pass_kv_prefill(comm, &p, &locals[comm.rank()])
+                ring_pass_kv_prefill(comm, &p, &RingSpec::default(), &locals[comm.rank()])
             })
             .unwrap();
             assert_eq!(outs.len(), n);
@@ -1444,7 +1495,10 @@ mod tests {
             let predicted = plan.predicted_traffic();
             let fabric = CheckedFabric::new(plan);
             let (_, report) = run_ring_checked(&fabric, |comm| {
-                ring_pass_q_prefill(comm, &p, &locals[comm.rank()])
+                let mine = &locals[comm.rank()];
+                let queries: Vec<SeqQ> = mine.iter().map(LocalSeq::queries).collect();
+                let kv: Vec<RankKv<'_>> = mine.iter().map(|l| l.kv().into()).collect();
+                ring_pass_q_prefill(comm, &p, &RingSpec::default(), &queries, &kv)
             })
             .unwrap();
             predicted.check_report(&report).unwrap();
@@ -1461,7 +1515,9 @@ mod tests {
             let predicted = plan.predicted_traffic();
             let fabric = CheckedFabric::new(plan);
             let (_, report) = run_ring_checked(&fabric, |comm| {
-                ring_pass_q_decode(comm, &p, &slots[comm.rank()], &kv[comm.rank()])
+                let mine: Vec<RankKv<'_>> =
+                    kv[comm.rank()].iter().cloned().map(RankKv::from).collect();
+                ring_pass_q_decode(comm, &p, &RingSpec::default(), &slots[comm.rank()], &mine)
             })
             .unwrap();
             predicted.check_report(&report).unwrap();
@@ -1502,7 +1558,7 @@ mod tests {
         let plan = pass_kv_plan(&locals).unwrap();
         let fabric = CheckedFabric::new(plan);
         let err = run_ring_checked(&fabric, |comm| {
-            ring_pass_kv_prefill(comm, &p, &skewed[comm.rank()])
+            ring_pass_kv_prefill(comm, &p, &RingSpec::default(), &skewed[comm.rank()])
         })
         .unwrap_err();
         match err {

@@ -48,6 +48,7 @@ mod tests {
     use super::*;
     use crate::ring::{ring_pass_kv_prefill, run_ring};
     use crate::LocalSeq;
+    use crate::RingSpec;
     use cp_attention::{AttentionParams, GqaShape, PAD};
     use cp_sharding::ShardPlan;
     use cp_tensor::DetRng;
@@ -91,7 +92,7 @@ mod tests {
             })
             .collect();
         let (_, report) = run_ring(n, |comm| {
-            ring_pass_kv_prefill(comm, &params, &locals[comm.rank()])
+            ring_pass_kv_prefill(comm, &params, &RingSpec::default(), &locals[comm.rank()])
         })
         .unwrap();
         let trace = measured_ring_trace(&report);

@@ -1,152 +1,37 @@
-//! Bit-identity of the bidirectional, chunked, and hierarchical ring
-//! schedules against the classic unidirectional loops.
+//! Bit-identity of the bidirectional, chunked (depth 2), and hierarchical
+//! ring cells against the classic unidirectional flat cell.
 //!
 //! Splitting each hop's payload across both ring directions (TokenRing
 //! style), pipelining hops at depth 2, or rerouting the ring through a
 //! hierarchical node topology (TASP style) must all be pure *scheduling*
 //! changes: for any CP degree, sequence-length skew, cache-hit mix, and
-//! decode occupancy the outputs must be **bit-identical** to the flat
-//! unidirectional variants — same kernels, same merge order, only the
-//! message routing moves. The declared bidi/chunked/hierarchical plans
-//! must also match live traffic exactly under a `CheckedFabric`, and a
-//! ring wedged in one direction must fail with a timeout naming the
-//! silent peer instead of hanging.
+//! decode occupancy the outputs must be **bit-identical** to the default
+//! cell — same kernels, same merge order, only the message routing moves.
+//! The declared bidi/chunked/hierarchical plans must also match live
+//! traffic exactly under a `CheckedFabric`, and a ring wedged in one
+//! direction must fail with a timeout naming the silent peer instead of
+//! hanging.
+
+mod support;
 
 use std::time::Duration;
 
-use cp_attention::{AttentionOutput, AttentionParams, GqaShape};
-use cp_comm::{CommError, Fabric, Topology};
-use cp_core::ring::{
-    ring_pass_kv_prefill, ring_pass_kv_prefill_bidi, ring_pass_kv_prefill_chunked,
-    ring_pass_kv_prefill_on, ring_pass_q_decode, ring_pass_q_decode_bidi, ring_pass_q_prefill,
-    ring_pass_q_prefill_bidi, ring_pass_q_prefill_on, run_ring, run_ring_checked,
-};
-use cp_core::schedule::{
-    decode_bidi_plan, pass_kv_bidi_plan, pass_kv_chunked_plan, pass_kv_plan_on, pass_q_bidi_plan,
-    pass_q_plan_on, RingLayout,
-};
-use cp_core::{CoreError, DecodeSlot, LocalSeq, RingMsg, SeqKv};
-use cp_tensor::DetRng;
+use cp_attention::AttentionOutput;
+use cp_comm::{CommError, Fabric};
+use cp_core::ring::ring_pass_kv_prefill;
+use cp_core::schedule::RingLayout;
+use cp_core::{CoreError, RingMsg, RingSpec, RingWire};
 use proptest::prelude::*;
+use support::{
+    assert_bit_identical, assert_close, at_depth, bidi, build_decode, build_locals, hier_layouts,
+    params, run_decode, run_pass_kv, run_pass_q, spec_grid, uni, Algo, Cell, Inputs,
+};
 
-fn params() -> AttentionParams {
-    AttentionParams::for_shape(GqaShape::new(2, 1, 4).unwrap())
-}
-
-/// One sequence per rank with independent query/KV lengths. `lens[r] =
-/// (lq, extra)` gives rank `r` a KV segment of `lq + extra` tokens whose
-/// **last** `lq` positions carry queries — `extra > 0` models partial
-/// prefill over cached context.
-fn build_locals(lens: &[(usize, usize)], p: &AttentionParams, seed: u64) -> Vec<Vec<LocalSeq>> {
-    let shape = p.shape;
-    let mut rng = DetRng::new(seed);
-    let mut cur = 0usize;
-    lens.iter()
-        .map(|&(lq, extra)| {
-            let lk = lq + extra;
-            let kv_pos: Vec<usize> = (cur..cur + lk).collect();
-            let q_pos: Vec<usize> = (cur + extra..cur + lk).collect();
-            cur += lk;
-            vec![LocalSeq {
-                q: rng.tensor(&[lq, shape.n_heads(), shape.head_dim()]),
-                q_pos,
-                k: rng.tensor(&[lk, shape.n_kv_heads(), shape.head_dim()]),
-                v: rng.tensor(&[lk, shape.n_kv_heads(), shape.head_dim()]),
-                kv_pos,
-            }]
-        })
-        .collect()
-}
-
-fn build_decode(
-    occupancy: &[bool],
-    p: &AttentionParams,
-    seed: u64,
-) -> (Vec<Vec<Option<DecodeSlot>>>, Vec<Vec<SeqKv>>) {
-    let shape = p.shape;
-    let mut rng = DetRng::new(seed);
-    let n = occupancy.len();
-    let slots: Vec<Vec<Option<DecodeSlot>>> = occupancy
-        .iter()
-        .map(|&occupied| {
-            vec![occupied.then(|| DecodeSlot {
-                bid: 0,
-                q: rng.tensor(&[1, shape.n_heads(), shape.head_dim()]),
-                pos: 4 * n,
-            })]
-        })
-        .collect();
-    let kv: Vec<Vec<SeqKv>> = (0..n)
-        .map(|r| {
-            vec![SeqKv {
-                k: rng.tensor(&[3, shape.n_kv_heads(), shape.head_dim()]),
-                v: rng.tensor(&[3, shape.n_kv_heads(), shape.head_dim()]),
-                pos: (r * 3..(r + 1) * 3).collect(),
-            }]
-        })
-        .collect();
-    (slots, kv)
-}
-
-/// Bitwise equality, NaN-safe: a schedule change must reproduce the exact
-/// same f32 bit patterns, not merely approximately equal values.
-fn assert_bit_identical(a: &[Vec<AttentionOutput>], b: &[Vec<AttentionOutput>], what: &str) {
-    assert_eq!(a.len(), b.len());
-    for (rank, (ra, rb)) in a.iter().zip(b).enumerate() {
-        assert_eq!(ra.len(), rb.len(), "rank {rank} ({what})");
-        for (i, (oa, ob)) in ra.iter().zip(rb).enumerate() {
-            let out_same = oa
-                .out
-                .as_slice()
-                .iter()
-                .zip(ob.out.as_slice())
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            let lse_same = oa
-                .lse
-                .as_slice()
-                .iter()
-                .zip(ob.lse.as_slice())
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(
-                oa.out.as_slice().len() == ob.out.as_slice().len() && out_same && lse_same,
-                "rank {rank} sequence {i} diverged: {what}"
-            );
-        }
-    }
-}
-
-/// Approximate equality for cross-family comparisons: schedules that fold
-/// partials in a *different* origin order (hierarchical vs. flat pass-KV)
-/// are mathematically exact but not bit-identical.
-fn assert_close(a: &[Vec<AttentionOutput>], b: &[Vec<AttentionOutput>], what: &str) {
-    assert_eq!(a.len(), b.len());
-    for (rank, (ra, rb)) in a.iter().zip(b).enumerate() {
-        assert_eq!(ra.len(), rb.len(), "rank {rank} ({what})");
-        for (i, (oa, ob)) in ra.iter().zip(rb).enumerate() {
-            assert_eq!(oa.out.as_slice().len(), ob.out.as_slice().len());
-            let close = oa
-                .out
-                .as_slice()
-                .iter()
-                .zip(ob.out.as_slice())
-                .all(|(x, y)| (x - y).abs() <= 2e-3);
-            assert!(close, "rank {rank} sequence {i} not close: {what}");
-        }
-    }
-}
-
-/// The hierarchical layouts exercised against each world size: at `W = 4`
-/// the 2×2 grid is the degenerate case where forward and reverse retrace
-/// the same links; `W = 6` covers both genuinely link-disjoint shapes.
-fn hier_layouts(world: usize) -> Vec<RingLayout> {
-    match world {
-        4 => vec![RingLayout::Hier(Topology::new(2, 2))],
-        6 => vec![
-            RingLayout::Hier(Topology::new(2, 3)),
-            RingLayout::Hier(Topology::new(3, 2)),
-        ],
-        _ => Vec::new(),
-    }
+/// Runs `cell` over inputs that carry only what its algorithm reads,
+/// under a `CheckedFabric` enforcing the cell's declared plan (which also
+/// asserts predicted == measured traffic).
+fn check_traffic(algo: Algo, spec: RingSpec, inputs: &Inputs) {
+    Cell { algo, spec }.run_checked(&params(), inputs);
 }
 
 proptest! {
@@ -164,13 +49,9 @@ proptest! {
     ) {
         let p = params();
         let locals = build_locals(&base[..cp], &p, seed);
-        let (uni, _) = run_ring(cp, |comm| {
-            ring_pass_kv_prefill(comm, &p, &locals[comm.rank()])
-        }).unwrap();
-        let (bidi, _) = run_ring(cp, |comm| {
-            ring_pass_kv_prefill_bidi(comm, &p, &locals[comm.rank()], RingLayout::Flat)
-        }).unwrap();
-        assert_bit_identical(&uni, &bidi, "bidi pass-kv vs uni");
+        let uni_out = run_pass_kv(&locals, &p, RingSpec::default());
+        let bidi_out = run_pass_kv(&locals, &p, bidi(RingLayout::Flat));
+        assert_bit_identical(&uni_out, &bidi_out, "bidi pass-kv vs uni");
     }
 
     /// Bidirectional pass-Q prefill is bit-identical to the flat
@@ -184,13 +65,9 @@ proptest! {
     ) {
         let p = params();
         let locals = build_locals(&base[..cp], &p, seed);
-        let (uni, _) = run_ring(cp, |comm| {
-            ring_pass_q_prefill(comm, &p, &locals[comm.rank()])
-        }).unwrap();
-        let (bidi, _) = run_ring(cp, |comm| {
-            ring_pass_q_prefill_bidi(comm, &p, &locals[comm.rank()], RingLayout::Flat)
-        }).unwrap();
-        assert_bit_identical(&uni, &bidi, "bidi pass-q vs uni");
+        let uni_out = run_pass_q(&locals, &p, RingSpec::default());
+        let bidi_out = run_pass_q(&locals, &p, bidi(RingLayout::Flat));
+        assert_bit_identical(&uni_out, &bidi_out, "bidi pass-q vs uni");
     }
 
     /// Depth-2 chunked pass-KV prefill (both half-blocks in flight per
@@ -204,13 +81,9 @@ proptest! {
     ) {
         let p = params();
         let locals = build_locals(&base[..cp], &p, seed);
-        let (uni, _) = run_ring(cp, |comm| {
-            ring_pass_kv_prefill(comm, &p, &locals[comm.rank()])
-        }).unwrap();
-        let (chunked, _) = run_ring(cp, |comm| {
-            ring_pass_kv_prefill_chunked(comm, &p, &locals[comm.rank()])
-        }).unwrap();
-        assert_bit_identical(&uni, &chunked, "chunked pass-kv vs uni");
+        let uni_out = run_pass_kv(&locals, &p, RingSpec::default());
+        let chunked = run_pass_kv(&locals, &p, at_depth(2, RingSpec::default()));
+        assert_bit_identical(&uni_out, &chunked, "chunked pass-kv vs uni");
     }
 
     /// Bidirectional batched decode is bit-identical to the
@@ -226,13 +99,9 @@ proptest! {
         let mut occ = occupancy[..cp].to_vec();
         occ[0] = true; // at least one live slot
         let (slots, kv) = build_decode(&occ, &p, seed);
-        let (uni, _) = run_ring(cp, |comm| {
-            ring_pass_q_decode(comm, &p, &slots[comm.rank()], &kv[comm.rank()])
-        }).unwrap();
-        let (bidi, _) = run_ring(cp, |comm| {
-            ring_pass_q_decode_bidi(comm, &p, &slots[comm.rank()], &kv[comm.rank()])
-        }).unwrap();
-        assert_bit_identical(&uni, &bidi, "bidi decode vs uni");
+        let uni_out = run_decode(&slots, &kv, &p, RingSpec::default());
+        let bidi_out = run_decode(&slots, &kv, &p, bidi(RingLayout::Flat));
+        assert_bit_identical(&uni_out, &bidi_out, "bidi decode vs uni");
     }
 
     /// Hierarchical (topology-aware) schedules are bit-identical to the
@@ -249,40 +118,28 @@ proptest! {
         let lens: Vec<(usize, usize)> =
             (0..world).map(|r| (1 + (seed as usize + r) % 4, r % 3)).collect();
         let locals = build_locals(&lens, &p, seed);
-        let (kv_flat, _) = run_ring(world, |comm| {
-            ring_pass_kv_prefill(comm, &p, &locals[comm.rank()])
-        }).unwrap();
-        let (q_flat, _) = run_ring(world, |comm| {
-            ring_pass_q_prefill(comm, &p, &locals[comm.rank()])
-        }).unwrap();
+        let kv_flat = run_pass_kv(&locals, &p, RingSpec::default());
+        let q_flat = run_pass_q(&locals, &p, RingSpec::default());
         for layout in hier_layouts(world) {
             // Pass-KV folds partials in ring-visit order, and the
             // hierarchical path visits origins in a different order than
             // the flat ring — exact but not bitwise across families. The
             // bidirectional hierarchical loop replays the unidirectional
             // hierarchical fold order, so that pair IS bitwise.
-            let (kv_hier, _) = run_ring(world, |comm| {
-                ring_pass_kv_prefill_on(comm, &p, &locals[comm.rank()], layout)
-            }).unwrap();
-            assert_close(&kv_flat, &kv_hier, "hier pass-kv vs flat");
-            let (kv_bidi, _) = run_ring(world, |comm| {
-                ring_pass_kv_prefill_bidi(comm, &p, &locals[comm.rank()], layout)
-            }).unwrap();
+            let kv_hier = run_pass_kv(&locals, &p, uni(layout));
+            assert_close(&kv_flat, &kv_hier, 2e-3, "hier pass-kv vs flat");
+            let kv_bidi = run_pass_kv(&locals, &p, bidi(layout));
             assert_bit_identical(&kv_hier, &kv_bidi, "bidi hier pass-kv vs uni hier");
-            let (q_hier, _) = run_ring(world, |comm| {
-                ring_pass_q_prefill_on(comm, &p, &locals[comm.rank()], layout)
-            }).unwrap();
+            let q_hier = run_pass_q(&locals, &p, uni(layout));
             assert_bit_identical(&q_flat, &q_hier, "hier pass-q vs flat");
-            let (q_bidi, _) = run_ring(world, |comm| {
-                ring_pass_q_prefill_bidi(comm, &p, &locals[comm.rank()], layout)
-            }).unwrap();
+            let q_bidi = run_pass_q(&locals, &p, bidi(layout));
             assert_bit_identical(&q_flat, &q_bidi, "bidi hier pass-q vs flat");
         }
     }
 
     /// The declared bidi/chunked plans match live traffic exactly when
-    /// the new loops run under the CheckedFabric sanitizer, and the
-    /// predicted byte/call totals match the metered report.
+    /// the loop runs under the CheckedFabric sanitizer, and the predicted
+    /// byte/call totals match the metered report.
     #[test]
     fn bidi_loops_keep_predicted_traffic_exact(
         cp in 2usize..6,
@@ -290,37 +147,12 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let p = params();
-        let locals = build_locals(&base[..cp], &p, seed);
-
-        let plan = pass_kv_bidi_plan(&locals, RingLayout::Flat).unwrap();
-        let predicted = plan.predicted_traffic();
-        let (_, report) = run_ring_checked(&plan, |comm| {
-            ring_pass_kv_prefill_bidi(comm, &p, &locals[comm.rank()], RingLayout::Flat)
-        }).unwrap();
-        predicted.check_report(&report).unwrap();
-
-        let plan = pass_q_bidi_plan(&p, &locals, RingLayout::Flat).unwrap();
-        let predicted = plan.predicted_traffic();
-        let (_, report) = run_ring_checked(&plan, |comm| {
-            ring_pass_q_prefill_bidi(comm, &p, &locals[comm.rank()], RingLayout::Flat)
-        }).unwrap();
-        predicted.check_report(&report).unwrap();
-
-        let plan = pass_kv_chunked_plan(&locals).unwrap();
-        let predicted = plan.predicted_traffic();
-        let (_, report) = run_ring_checked(&plan, |comm| {
-            ring_pass_kv_prefill_chunked(comm, &p, &locals[comm.rank()])
-        }).unwrap();
-        predicted.check_report(&report).unwrap();
-
-        let occ = vec![true; cp];
-        let (slots, kv) = build_decode(&occ, &p, seed ^ 0x9e37);
-        let plan = decode_bidi_plan(&p, &slots).unwrap();
-        let predicted = plan.predicted_traffic();
-        let (_, report) = run_ring_checked(&plan, |comm| {
-            ring_pass_q_decode_bidi(comm, &p, &slots[comm.rank()], &kv[comm.rank()])
-        }).unwrap();
-        predicted.check_report(&report).unwrap();
+        let (slots, kv) = build_decode(&vec![true; cp], &p, seed ^ 0x9e37);
+        let inputs = Inputs { locals: build_locals(&base[..cp], &p, seed), slots, kv };
+        check_traffic(Algo::PassKv, bidi(RingLayout::Flat), &inputs);
+        check_traffic(Algo::PassQ, bidi(RingLayout::Flat), &inputs);
+        check_traffic(Algo::PassKv, at_depth(2, RingSpec::default()), &inputs);
+        check_traffic(Algo::Decode, bidi(RingLayout::Flat), &inputs);
     }
 
     /// The hierarchical plans match live traffic exactly too, for both
@@ -333,59 +165,37 @@ proptest! {
         let world = if wide { 6usize } else { 4 };
         let p = params();
         let lens: Vec<(usize, usize)> = (0..world).map(|r| (1 + r % 3, r % 2)).collect();
-        let locals = build_locals(&lens, &p, seed);
+        let inputs = Inputs {
+            locals: build_locals(&lens, &p, seed),
+            slots: Vec::new(),
+            kv: Vec::new(),
+        };
         for layout in hier_layouts(world) {
-            let plan = pass_kv_plan_on(&locals, layout).unwrap();
-            let predicted = plan.predicted_traffic();
-            let (_, report) = run_ring_checked(&plan, |comm| {
-                ring_pass_kv_prefill_on(comm, &p, &locals[comm.rank()], layout)
-            }).unwrap();
-            predicted.check_report(&report).unwrap();
-
-            let plan = pass_kv_bidi_plan(&locals, layout).unwrap();
-            let predicted = plan.predicted_traffic();
-            let (_, report) = run_ring_checked(&plan, |comm| {
-                ring_pass_kv_prefill_bidi(comm, &p, &locals[comm.rank()], layout)
-            }).unwrap();
-            predicted.check_report(&report).unwrap();
-
-            let plan = pass_q_plan_on(&p, &locals, layout).unwrap();
-            let predicted = plan.predicted_traffic();
-            let (_, report) = run_ring_checked(&plan, |comm| {
-                ring_pass_q_prefill_on(comm, &p, &locals[comm.rank()], layout)
-            }).unwrap();
-            predicted.check_report(&report).unwrap();
-
-            let plan = pass_q_bidi_plan(&p, &locals, layout).unwrap();
-            let predicted = plan.predicted_traffic();
-            let (_, report) = run_ring_checked(&plan, |comm| {
-                ring_pass_q_prefill_bidi(comm, &p, &locals[comm.rank()], layout)
-            }).unwrap();
-            predicted.check_report(&report).unwrap();
+            check_traffic(Algo::PassKv, uni(layout), &inputs);
+            check_traffic(Algo::PassKv, bidi(layout), &inputs);
+            check_traffic(Algo::PassQ, uni(layout), &inputs);
+            check_traffic(Algo::PassQ, bidi(layout), &inputs);
         }
     }
 }
 
-/// The fabric's pipeline-depth flag routes `ring_pass_kv_prefill` through
-/// the chunked loop transparently — same entry point, same bits.
+/// Every f32 cell of the grid at `W ∈ 2..=5` — direction × layout ×
+/// depth {0, 1, 2} — meets its contract against the default cell under a
+/// checked run: bitwise for pass-Q on every layout, for decode, and for
+/// flat pass-KV; bitwise against the unidirectional cell of the same
+/// layout plus exact-not-bitwise (2e-3) against the default cell for
+/// hierarchical pass-KV.
 #[test]
-fn pipeline_depth_dispatch_is_bit_identical() {
+fn every_f32_cell_meets_its_contract() {
     let p = params();
-    let lens = [(3, 1), (1, 0), (4, 2)];
-    let locals = build_locals(&lens, &p, 11);
-    let cp = lens.len();
-    let (uni, _) = run_ring(cp, |comm| {
-        ring_pass_kv_prefill(comm, &p, &locals[comm.rank()])
-    })
-    .unwrap();
-    let body = |comm: &cp_comm::Communicator<RingMsg>| {
-        ring_pass_kv_prefill(comm, &p, &locals[comm.rank()]).map_err(core_to_comm)
-    };
-    let (piped, _) = Fabric::new(cp)
-        .pipeline_depth(2)
-        .run::<RingMsg, Vec<AttentionOutput>, _>(body)
-        .unwrap();
-    assert_bit_identical(&uni, &piped, "pipeline-depth dispatch vs uni");
+    for world in 2..=5 {
+        let inputs = Inputs::new(world, &p, 100 + world as u64);
+        for cell in spec_grid(world) {
+            if cell.spec.wire == RingWire::F32 {
+                cell.assert_contract(&p, &inputs);
+            }
+        }
+    }
 }
 
 fn core_to_comm(e: CoreError) -> CommError {
@@ -409,6 +219,7 @@ fn wedged_reverse_direction_times_out_naming_the_peer() {
     let lens = [(2, 0), (3, 1), (2, 2)];
     let locals = build_locals(&lens, &p, 23);
     let cp = lens.len();
+    let spec = bidi(RingLayout::Flat);
     let body = |comm: &cp_comm::Communicator<RingMsg>| -> Result<Vec<AttentionOutput>, CommError> {
         if comm.rank() == 1 {
             // Forward hops only: send the local block on, forward the one
@@ -418,13 +229,8 @@ fn wedged_reverse_direction_times_out_naming_the_peer() {
             // and one guaranteed-delivered recv — rank 1 itself must
             // never hit a deadline, or dropping its channels would turn
             // rank 0's timeout into a disconnect.
-            let me = &locals[1][0];
             let own = RingMsg::Kv {
-                seqs: vec![SeqKv {
-                    k: me.k.clone(),
-                    v: me.v.clone(),
-                    pos: me.kv_pos.clone(),
-                }],
+                seqs: vec![locals[1][0].kv()],
             };
             comm.isend(comm.ring_next(), own)?.wait()?;
             let forwarded = comm.recv(comm.ring_prev())?;
@@ -432,8 +238,7 @@ fn wedged_reverse_direction_times_out_naming_the_peer() {
             std::thread::sleep(Duration::from_millis(400));
             return Ok(Vec::new());
         }
-        ring_pass_kv_prefill_bidi(comm, &p, &locals[comm.rank()], RingLayout::Flat)
-            .map_err(core_to_comm)
+        ring_pass_kv_prefill(comm, &p, &spec, &locals[comm.rank()]).map_err(core_to_comm)
     };
     let err = Fabric::new(cp)
         .recv_timeout(Duration::from_millis(100))

@@ -1,111 +1,26 @@
-//! Bit-identity of the double-buffered (overlapped) ring loops against
-//! their blocking reference variants.
+//! Bit-identity of the double-buffered (overlapped, depth 1) ring loop
+//! against its blocking (depth 0) form.
 //!
 //! Overlapping communication with compute must be a pure scheduling
 //! change: for any batch shape, sequence-length skew, CP degree, and
 //! full/partial prefill split, `ring_pass_kv_prefill`,
 //! `ring_pass_q_prefill`, and `ring_pass_q_decode` must produce outputs
-//! **bit-identical** to the `_blocking` variants (same kernels, same merge
-//! order — only the wait point moves). The declared schedules must also
-//! still match live traffic exactly when the overlapped loops run under a
-//! `CheckedFabric`.
+//! **bit-identical** at depth 0 and depth 1 (same kernels, same merge
+//! order — only the wait point moves), on every cell of the schedule
+//! grid. The declared schedules must also still match live traffic exactly
+//! when the overlapped loops run under a `CheckedFabric`.
 
-use cp_attention::{AttentionOutput, AttentionParams, GqaShape};
+mod support;
+
 use cp_comm::CheckedFabric;
-use cp_core::ring::{
-    ring_pass_kv_prefill, ring_pass_kv_prefill_blocking, ring_pass_q_decode,
-    ring_pass_q_decode_blocking, ring_pass_q_prefill, ring_pass_q_prefill_blocking, run_ring,
-};
-use cp_core::schedule::{decode_plan, pass_kv_plan, pass_q_plan, run_ring_checked};
-use cp_core::{DecodeSlot, LocalSeq, SeqKv};
-use cp_tensor::DetRng;
+use cp_core::ring::ring_pass_kv_prefill;
+use cp_core::schedule::{ring_plan, run_ring_checked, RingInput};
+use cp_core::RingSpec;
 use proptest::prelude::*;
-
-fn params() -> AttentionParams {
-    AttentionParams::for_shape(GqaShape::new(2, 1, 4).unwrap())
-}
-
-/// Builds one sequence per rank with independent query/KV lengths per
-/// rank. `lens[r] = (lq, extra)` gives rank `r` a KV segment of
-/// `lq + extra` tokens whose **last** `lq` positions carry queries — so
-/// `extra > 0` models partial prefill (history KV with no live queries).
-fn build_locals(lens: &[(usize, usize)], p: &AttentionParams, seed: u64) -> Vec<Vec<LocalSeq>> {
-    let shape = p.shape;
-    let mut rng = DetRng::new(seed);
-    let mut cur = 0usize;
-    lens.iter()
-        .map(|&(lq, extra)| {
-            let lk = lq + extra;
-            let kv_pos: Vec<usize> = (cur..cur + lk).collect();
-            let q_pos: Vec<usize> = (cur + extra..cur + lk).collect();
-            cur += lk;
-            vec![LocalSeq {
-                q: rng.tensor(&[lq, shape.n_heads(), shape.head_dim()]),
-                q_pos,
-                k: rng.tensor(&[lk, shape.n_kv_heads(), shape.head_dim()]),
-                v: rng.tensor(&[lk, shape.n_kv_heads(), shape.head_dim()]),
-                kv_pos,
-            }]
-        })
-        .collect()
-}
-
-fn build_decode(
-    occupancy: &[bool],
-    p: &AttentionParams,
-    seed: u64,
-) -> (Vec<Vec<Option<DecodeSlot>>>, Vec<Vec<SeqKv>>) {
-    let shape = p.shape;
-    let mut rng = DetRng::new(seed);
-    let n = occupancy.len();
-    let slots: Vec<Vec<Option<DecodeSlot>>> = occupancy
-        .iter()
-        .map(|&occupied| {
-            vec![occupied.then(|| DecodeSlot {
-                bid: 0,
-                q: rng.tensor(&[1, shape.n_heads(), shape.head_dim()]),
-                pos: 4 * n,
-            })]
-        })
-        .collect();
-    let kv: Vec<Vec<SeqKv>> = (0..n)
-        .map(|r| {
-            vec![SeqKv {
-                k: rng.tensor(&[3, shape.n_kv_heads(), shape.head_dim()]),
-                v: rng.tensor(&[3, shape.n_kv_heads(), shape.head_dim()]),
-                pos: (r * 3..(r + 1) * 3).collect(),
-            }]
-        })
-        .collect();
-    (slots, kv)
-}
-
-/// Bitwise equality, NaN-safe: identical scheduling must reproduce the
-/// exact same f32 bit patterns, not merely approximately equal values.
-fn assert_bit_identical(a: &[Vec<AttentionOutput>], b: &[Vec<AttentionOutput>]) {
-    assert_eq!(a.len(), b.len());
-    for (rank, (ra, rb)) in a.iter().zip(b).enumerate() {
-        assert_eq!(ra.len(), rb.len(), "rank {rank}");
-        for (i, (oa, ob)) in ra.iter().zip(rb).enumerate() {
-            let out_same = oa
-                .out
-                .as_slice()
-                .iter()
-                .zip(ob.out.as_slice())
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            let lse_same = oa
-                .lse
-                .as_slice()
-                .iter()
-                .zip(ob.lse.as_slice())
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(
-                oa.out.as_slice().len() == ob.out.as_slice().len() && out_same && lse_same,
-                "rank {rank} sequence {i} diverged between overlapped and blocking"
-            );
-        }
-    }
-}
+use support::{
+    assert_bit_identical, at_depth, build_decode, build_locals, decode_body, params, pass_q_body,
+    run_decode, run_pass_kv, run_pass_q, spec_grid, Cell, Inputs,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -119,15 +34,10 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let p = params();
-        let lens = &base[..cp];
-        let locals = build_locals(lens, &p, seed);
-        let (overlapped, _) = run_ring(cp, |comm| {
-            ring_pass_kv_prefill(comm, &p, &locals[comm.rank()])
-        }).unwrap();
-        let (blocking, _) = run_ring(cp, |comm| {
-            ring_pass_kv_prefill_blocking(comm, &p, &locals[comm.rank()])
-        }).unwrap();
-        assert_bit_identical(&overlapped, &blocking);
+        let locals = build_locals(&base[..cp], &p, seed);
+        let overlapped = run_pass_kv(&locals, &p, RingSpec::default());
+        let blocking = run_pass_kv(&locals, &p, at_depth(0, RingSpec::default()));
+        assert_bit_identical(&overlapped, &blocking, "overlapped vs blocking pass-kv");
     }
 
     /// Overlapped pass-Q prefill is bit-identical to the blocking loop.
@@ -138,15 +48,10 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let p = params();
-        let lens = &base[..cp];
-        let locals = build_locals(lens, &p, seed);
-        let (overlapped, _) = run_ring(cp, |comm| {
-            ring_pass_q_prefill(comm, &p, &locals[comm.rank()])
-        }).unwrap();
-        let (blocking, _) = run_ring(cp, |comm| {
-            ring_pass_q_prefill_blocking(comm, &p, &locals[comm.rank()])
-        }).unwrap();
-        assert_bit_identical(&overlapped, &blocking);
+        let locals = build_locals(&base[..cp], &p, seed);
+        let overlapped = run_pass_q(&locals, &p, RingSpec::default());
+        let blocking = run_pass_q(&locals, &p, at_depth(0, RingSpec::default()));
+        assert_bit_identical(&overlapped, &blocking, "overlapped vs blocking pass-q");
     }
 
     /// Overlapped batched decode is bit-identical to the blocking loop
@@ -161,13 +66,9 @@ proptest! {
         let mut occ = occupancy[..cp].to_vec();
         occ[0] = true; // at least one live slot
         let (slots, kv) = build_decode(&occ, &p, seed);
-        let (overlapped, _) = run_ring(cp, |comm| {
-            ring_pass_q_decode(comm, &p, &slots[comm.rank()], &kv[comm.rank()])
-        }).unwrap();
-        let (blocking, _) = run_ring(cp, |comm| {
-            ring_pass_q_decode_blocking(comm, &p, &slots[comm.rank()], &kv[comm.rank()])
-        }).unwrap();
-        assert_bit_identical(&overlapped, &blocking);
+        let overlapped = run_decode(&slots, &kv, &p, RingSpec::default());
+        let blocking = run_decode(&slots, &kv, &p, at_depth(0, RingSpec::default()));
+        assert_bit_identical(&overlapped, &blocking, "overlapped vs blocking decode");
     }
 
     /// The declared schedules still match live traffic exactly when the
@@ -180,30 +81,65 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let p = params();
-        let lens = &base[..cp];
-        let locals = build_locals(lens, &p, seed);
+        let locals = build_locals(&base[..cp], &p, seed);
+        let spec = RingSpec::default();
 
-        let plan = pass_kv_plan(&locals).unwrap();
+        let plan = ring_plan(RingInput::PassKv(&locals), &spec, &p).unwrap();
         let predicted = plan.predicted_traffic();
         let (_, report) = run_ring_checked(&CheckedFabric::new(plan), |comm| {
-            ring_pass_kv_prefill(comm, &p, &locals[comm.rank()])
+            ring_pass_kv_prefill(comm, &p, &spec, &locals[comm.rank()])
         }).unwrap();
         predicted.check_report(&report).unwrap();
 
-        let plan = pass_q_plan(&p, &locals).unwrap();
+        let plan = ring_plan(RingInput::PassQ(&locals), &spec, &p).unwrap();
         let predicted = plan.predicted_traffic();
         let (_, report) = run_ring_checked(&CheckedFabric::new(plan), |comm| {
-            ring_pass_q_prefill(comm, &p, &locals[comm.rank()])
+            pass_q_body(comm, &p, &spec, &locals[comm.rank()])
         }).unwrap();
         predicted.check_report(&report).unwrap();
 
         let occ = vec![true; cp];
         let (slots, kv) = build_decode(&occ, &p, seed ^ 0x9e37);
-        let plan = decode_plan(&p, &slots).unwrap();
+        let plan = ring_plan(RingInput::Decode(&slots), &spec, &p).unwrap();
         let predicted = plan.predicted_traffic();
         let (_, report) = run_ring_checked(&CheckedFabric::new(plan), |comm| {
-            ring_pass_q_decode(comm, &p, &slots[comm.rank()], &kv[comm.rank()])
+            decode_body(comm, &p, &spec, &slots[comm.rank()], &kv[comm.rank()])
         }).unwrap();
         predicted.check_report(&report).unwrap();
+    }
+}
+
+/// Depth 0 on **every** cell of the grid — including the bidirectional,
+/// hierarchical and INT8 cells that had no blocking loop before the single
+/// ring loop — is bit-identical to the same cell at depth 1, declares the
+/// same plan, and meters the same traffic.
+#[test]
+fn depth_0_matches_depth_1_on_every_cell() {
+    let p = params();
+    for world in 2..=5 {
+        let inputs = Inputs::new(world, &p, 7 + world as u64);
+        for blocking in spec_grid(world).into_iter().filter(|c| c.spec.depth == 0) {
+            let overlapped = Cell {
+                spec: at_depth(1, blocking.spec),
+                ..blocking
+            };
+            assert_eq!(
+                blocking.plan(&p, &inputs).unwrap(),
+                overlapped.plan(&p, &inputs).unwrap(),
+                "{blocking:?}: depth 0 and depth 1 must declare one plan"
+            );
+            let (b_outs, b_report) = blocking.run_checked(&p, &inputs);
+            let (o_outs, o_report) = overlapped.run_checked(&p, &inputs);
+            assert_bit_identical(&b_outs, &o_outs, &format!("{blocking:?} vs depth 1"));
+            assert_eq!(
+                b_report.total_bytes(),
+                o_report.total_bytes(),
+                "{blocking:?}"
+            );
+            assert_eq!(
+                b_report.send_recv.calls, o_report.send_recv.calls,
+                "{blocking:?}"
+            );
+        }
     }
 }

@@ -1,111 +1,25 @@
 //! The compressed (INT8 pass-KV) schedule family: one bitwise
-//! equivalence class across every layout and direction.
+//! equivalence class across every layout, direction and depth.
 //!
-//! The f32 families fold partials in ring-visit order, so flat and
-//! hierarchical layouts agree only mathematically. The compressed loops
-//! stash partials per origin and fold in canonical ascending-origin
-//! order instead, so flat/hier × uni/bidi all produce the **same bits**
-//! for the same inputs — and the canonical-merge f32 loop extends that
-//! guarantee to the uncompressed path. Accuracy vs the f32 families is
-//! bounded by the per-head INT8 quantization error. Declared compressed
-//! plans must match live traffic exactly under a `CheckedFabric`, and a
-//! compressed hop must carry ~4× fewer bytes than its f32 twin.
+//! The f32 cells fold partials in ring-visit order, so flat and
+//! hierarchical layouts agree only mathematically. The INT8 cells fold in
+//! canonical ascending-origin order instead, so flat/hier × uni/bidi all
+//! produce the **same bits** for the same inputs. Accuracy vs the f32
+//! cells is bounded by the per-head INT8 quantization error. Declared
+//! compressed plans must match live traffic exactly under a
+//! `CheckedFabric`, and a compressed hop must carry ~4× fewer bytes than
+//! its f32 twin.
 
-use cp_attention::{AttentionOutput, AttentionParams, GqaShape};
-use cp_comm::Topology;
-use cp_core::ring::{
-    ring_pass_kv_prefill, ring_pass_kv_prefill_canonical_on, ring_pass_kv_prefill_quant_bidi,
-    ring_pass_kv_prefill_quant_on, run_ring, run_ring_checked,
-};
-use cp_core::schedule::{
-    pass_kv_plan_on, pass_kv_quant_bidi_plan, pass_kv_quant_plan_on, RingLayout,
-};
-use cp_core::LocalSeq;
-use cp_tensor::DetRng;
+mod support;
+
+use cp_attention::{AttentionParams, GqaShape};
+use cp_core::schedule::{ring_plan, RingInput, RingLayout};
+use cp_core::{RingSpec, RingWire};
 use proptest::prelude::*;
-
-fn params() -> AttentionParams {
-    AttentionParams::for_shape(GqaShape::new(2, 1, 4).unwrap())
-}
-
-/// One sequence per rank with independent query/KV lengths, as in the
-/// bidi identity suite: `extra > 0` models partial prefill over cached
-/// context.
-fn build_locals(lens: &[(usize, usize)], p: &AttentionParams, seed: u64) -> Vec<Vec<LocalSeq>> {
-    let shape = p.shape;
-    let mut rng = DetRng::new(seed);
-    let mut cur = 0usize;
-    lens.iter()
-        .map(|&(lq, extra)| {
-            let lk = lq + extra;
-            let kv_pos: Vec<usize> = (cur..cur + lk).collect();
-            let q_pos: Vec<usize> = (cur + extra..cur + lk).collect();
-            cur += lk;
-            vec![LocalSeq {
-                q: rng.tensor(&[lq, shape.n_heads(), shape.head_dim()]),
-                q_pos,
-                k: rng.tensor(&[lk, shape.n_kv_heads(), shape.head_dim()]),
-                v: rng.tensor(&[lk, shape.n_kv_heads(), shape.head_dim()]),
-                kv_pos,
-            }]
-        })
-        .collect()
-}
-
-fn assert_bit_identical(a: &[Vec<AttentionOutput>], b: &[Vec<AttentionOutput>], what: &str) {
-    assert_eq!(a.len(), b.len());
-    for (rank, (ra, rb)) in a.iter().zip(b).enumerate() {
-        assert_eq!(ra.len(), rb.len(), "rank {rank} ({what})");
-        for (i, (oa, ob)) in ra.iter().zip(rb).enumerate() {
-            let out_same = oa
-                .out
-                .as_slice()
-                .iter()
-                .zip(ob.out.as_slice())
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            let lse_same = oa
-                .lse
-                .as_slice()
-                .iter()
-                .zip(ob.lse.as_slice())
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(
-                oa.out.as_slice().len() == ob.out.as_slice().len() && out_same && lse_same,
-                "rank {rank} sequence {i} diverged: {what}"
-            );
-        }
-    }
-}
-
-/// Max-abs closeness with an explicit tolerance: the compressed family
-/// deviates from f32 by the quantization error, not rounding noise.
-fn assert_close(a: &[Vec<AttentionOutput>], b: &[Vec<AttentionOutput>], tol: f32, what: &str) {
-    assert_eq!(a.len(), b.len());
-    for (rank, (ra, rb)) in a.iter().zip(b).enumerate() {
-        assert_eq!(ra.len(), rb.len(), "rank {rank} ({what})");
-        for (i, (oa, ob)) in ra.iter().zip(rb).enumerate() {
-            assert_eq!(oa.out.as_slice().len(), ob.out.as_slice().len());
-            let close = oa
-                .out
-                .as_slice()
-                .iter()
-                .zip(ob.out.as_slice())
-                .all(|(x, y)| (x - y).abs() <= tol);
-            assert!(close, "rank {rank} sequence {i} not close: {what}");
-        }
-    }
-}
-
-fn hier_layouts(world: usize) -> Vec<RingLayout> {
-    match world {
-        4 => vec![RingLayout::Hier(Topology::new(2, 2))],
-        6 => vec![
-            RingLayout::Hier(Topology::new(2, 3)),
-            RingLayout::Hier(Topology::new(3, 2)),
-        ],
-        _ => Vec::new(),
-    }
-}
+use support::{
+    assert_bit_identical, assert_close, bidi, build_locals, hier_layouts, int8, params,
+    run_pass_kv, spec_grid, uni, Algo, Cell, Inputs,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
@@ -121,17 +35,11 @@ proptest! {
     ) {
         let p = params();
         let locals = build_locals(&base[..cp], &p, seed);
-        let (uni, _) = run_ring(cp, |comm| {
-            ring_pass_kv_prefill_quant_on(comm, &p, &locals[comm.rank()], RingLayout::Flat)
-        }).unwrap();
-        let (bidi, _) = run_ring(cp, |comm| {
-            ring_pass_kv_prefill_quant_bidi(comm, &p, &locals[comm.rank()], RingLayout::Flat)
-        }).unwrap();
-        assert_bit_identical(&uni, &bidi, "quant bidi vs quant uni");
-        let (exact, _) = run_ring(cp, |comm| {
-            ring_pass_kv_prefill(comm, &p, &locals[comm.rank()])
-        }).unwrap();
-        assert_close(&exact, &uni, 0.05, "quant vs exact f32");
+        let uni_out = run_pass_kv(&locals, &p, int8(uni(RingLayout::Flat)));
+        let bidi_out = run_pass_kv(&locals, &p, int8(bidi(RingLayout::Flat)));
+        assert_bit_identical(&uni_out, &bidi_out, "quant bidi vs quant uni");
+        let exact = run_pass_kv(&locals, &p, RingSpec::default());
+        assert_close(&exact, &uni_out, 0.05, "quant vs exact f32");
     }
 
     /// Every compressed layout — flat, both hierarchical grids, uni and
@@ -148,48 +56,13 @@ proptest! {
         let lens: Vec<(usize, usize)> =
             (0..world).map(|r| (1 + (seed as usize + r) % 4, r % 3)).collect();
         let locals = build_locals(&lens, &p, seed);
-        let (flat, _) = run_ring(world, |comm| {
-            ring_pass_kv_prefill_quant_on(comm, &p, &locals[comm.rank()], RingLayout::Flat)
-        }).unwrap();
+        let flat = run_pass_kv(&locals, &p, int8(uni(RingLayout::Flat)));
         for layout in hier_layouts(world) {
-            let (hier, _) = run_ring(world, |comm| {
-                ring_pass_kv_prefill_quant_on(comm, &p, &locals[comm.rank()], layout)
-            }).unwrap();
+            let hier = run_pass_kv(&locals, &p, int8(uni(layout)));
             assert_bit_identical(&flat, &hier, "quant hier uni vs quant flat");
-            let (hier_bidi, _) = run_ring(world, |comm| {
-                ring_pass_kv_prefill_quant_bidi(comm, &p, &locals[comm.rank()], layout)
-            }).unwrap();
+            let hier_bidi = run_pass_kv(&locals, &p, int8(bidi(layout)));
             assert_bit_identical(&flat, &hier_bidi, "quant hier bidi vs quant flat");
         }
-    }
-
-    /// The canonical-merge f32 loop gives the uncompressed path the same
-    /// layout-stability guarantee: flat and hierarchical canonical runs
-    /// are bitwise identical, and stay mathematically exact against the
-    /// visit-order fold (tiny reassociation noise only).
-    #[test]
-    fn canonical_f32_fold_is_layout_stable(
-        wide in any::<bool>(),
-        seed in any::<u64>(),
-    ) {
-        let world = if wide { 6usize } else { 4 };
-        let p = params();
-        let lens: Vec<(usize, usize)> =
-            (0..world).map(|r| (1 + (seed as usize + r) % 4, r % 3)).collect();
-        let locals = build_locals(&lens, &p, seed);
-        let (flat, _) = run_ring(world, |comm| {
-            ring_pass_kv_prefill_canonical_on(comm, &p, &locals[comm.rank()], RingLayout::Flat)
-        }).unwrap();
-        for layout in hier_layouts(world) {
-            let (hier, _) = run_ring(world, |comm| {
-                ring_pass_kv_prefill_canonical_on(comm, &p, &locals[comm.rank()], layout)
-            }).unwrap();
-            assert_bit_identical(&flat, &hier, "canonical hier vs canonical flat");
-        }
-        let (visit, _) = run_ring(world, |comm| {
-            ring_pass_kv_prefill(comm, &p, &locals[comm.rank()])
-        }).unwrap();
-        assert_close(&visit, &flat, 2e-3, "canonical vs visit-order fold");
     }
 
     /// Declared compressed plans match live traffic exactly under the
@@ -204,28 +77,36 @@ proptest! {
         let world = if wide { 6usize } else { 4 };
         let p = params();
         let lens: Vec<(usize, usize)> = (0..world).map(|r| (1 + r % 3, r % 2)).collect();
-        let locals = build_locals(&lens, &p, seed);
+        let inputs = Inputs {
+            locals: build_locals(&lens, &p, seed),
+            slots: Vec::new(),
+            kv: Vec::new(),
+        };
         let mut layouts = vec![RingLayout::Flat];
         layouts.extend(hier_layouts(world));
         for layout in layouts {
-            let plan = pass_kv_quant_plan_on(&locals, layout).unwrap();
-            let predicted = plan.predicted_traffic();
-            let (_, report) = run_ring_checked(&plan, |comm| {
-                ring_pass_kv_prefill_quant_on(comm, &p, &locals[comm.rank()], layout)
-            }).unwrap();
-            predicted.check_report(&report).unwrap();
-            let f32_plan = pass_kv_plan_on(&locals, layout).unwrap();
-            prop_assert!(
-                plan.predicted_traffic().send_recv.bytes
-                    < f32_plan.predicted_traffic().send_recv.bytes
-            );
+            let quant = Cell { algo: Algo::PassKv, spec: int8(uni(layout)) };
+            let (_, report) = quant.run_checked(&p, &inputs);
+            let f32_plan = Cell { algo: Algo::PassKv, spec: uni(layout) }.plan(&p, &inputs).unwrap();
+            prop_assert!(report.send_recv.bytes < f32_plan.predicted_traffic().send_recv.bytes);
+            Cell { algo: Algo::PassKv, spec: int8(bidi(layout)) }.run_checked(&p, &inputs);
+        }
+    }
+}
 
-            let plan = pass_kv_quant_bidi_plan(&locals, layout).unwrap();
-            let predicted = plan.predicted_traffic();
-            let (_, report) = run_ring_checked(&plan, |comm| {
-                ring_pass_kv_prefill_quant_bidi(comm, &p, &locals[comm.rank()], layout)
-            }).unwrap();
-            predicted.check_report(&report).unwrap();
+/// Every INT8 cell of the grid at `W ∈ 2..=5` — direction × layout ×
+/// depth {0, 1} — is bitwise identical to the flat unidirectional INT8
+/// cell and within the quantization bound of the default f32 cell, under
+/// a checked run.
+#[test]
+fn every_int8_cell_is_one_bitwise_class_within_the_error_bound() {
+    let p = params();
+    for world in 2..=5 {
+        let inputs = Inputs::new(world, &p, 200 + world as u64);
+        for cell in spec_grid(world) {
+            if cell.spec.wire == RingWire::Int8 {
+                cell.assert_contract(&p, &inputs);
+            }
         }
     }
 }
@@ -238,17 +119,14 @@ fn compressed_hops_cut_wire_bytes_by_over_3x() {
     let p = AttentionParams::for_shape(GqaShape::new(4, 2, 64).unwrap());
     let lens = [(8, 2), (6, 0), (7, 5), (5, 1)];
     let locals = build_locals(&lens, &p, 42);
-    let f32_bytes = pass_kv_plan_on(&locals, RingLayout::Flat)
-        .unwrap()
-        .predicted_traffic()
-        .send_recv
-        .bytes;
-    let quant_bytes = pass_kv_quant_plan_on(&locals, RingLayout::Flat)
-        .unwrap()
-        .predicted_traffic()
-        .send_recv
-        .bytes;
-    let ratio = f32_bytes as f64 / quant_bytes as f64;
+    let bytes = |spec: RingSpec| {
+        ring_plan(RingInput::PassKv(&locals), &spec, &p)
+            .unwrap()
+            .predicted_traffic()
+            .send_recv
+            .bytes
+    };
+    let ratio = bytes(RingSpec::default()) as f64 / bytes(int8(RingSpec::default())) as f64;
     // Exactly 4·64/(64+4) = 3.7647…
     assert!(ratio > 3.7, "wire reduction {ratio:.2}x");
 }

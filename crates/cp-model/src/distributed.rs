@@ -11,8 +11,8 @@
 use cp_attention::PAD;
 use cp_comm::{CheckedFabric, CommPlan, Communicator, TrafficReport};
 use cp_core::ring::{ring_pass_kv_prefill, ring_pass_q_prefill, run_ring};
-use cp_core::schedule::{pass_kv_plan, pass_q_plan, run_ring_checked, stacked_plan};
-use cp_core::{CoreError, LocalSeq, RingMsg};
+use cp_core::schedule::{ring_plan, run_ring_checked, stacked_plan, RingInput};
+use cp_core::{CoreError, LocalSeq, RingMsg, RingSpec};
 use cp_perf::RingVariant;
 use cp_sharding::ShardPlan;
 use cp_tensor::Tensor;
@@ -125,11 +125,18 @@ fn forward_body(
             v: v.pad_dim0(ring_len, 0.0)?,
             kv_pos,
         };
+        let spec = RingSpec::default();
         let attn = match variant {
             RingVariant::PassKv => {
-                ring_pass_kv_prefill(comm, &params, std::slice::from_ref(&local))?
+                ring_pass_kv_prefill(comm, &params, &spec, std::slice::from_ref(&local))?
             }
-            RingVariant::PassQ => ring_pass_q_prefill(comm, &params, std::slice::from_ref(&local))?,
+            RingVariant::PassQ => ring_pass_q_prefill(
+                comm,
+                &params,
+                &spec,
+                &[local.queries()],
+                &[local.kv().into()],
+            )?,
         }
         .pop()
         .expect("one sequence in, one out");
@@ -175,10 +182,11 @@ pub fn forward_plan(
             }]
         })
         .collect();
-    let layer_plan = match variant {
-        RingVariant::PassKv => pass_kv_plan(&locals)?,
-        RingVariant::PassQ => pass_q_plan(&params, &locals)?,
+    let input = match variant {
+        RingVariant::PassKv => RingInput::PassKv(&locals),
+        RingVariant::PassQ => RingInput::PassQ(&locals),
     };
+    let layer_plan = ring_plan(input, &RingSpec::default(), &params)?;
     Ok(stacked_plan(layer_plan, config.n_layers))
 }
 

@@ -4,30 +4,21 @@ use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use cp_attention::PAD;
-use cp_comm::Topology;
 use cp_comm::TrafficReport;
 use cp_comm::Wire;
 use cp_core::heuristics::{choose_variant, HeuristicKind, SystemContext};
 use cp_core::ring::{
-    attn_block_for, decode_slot_layout, helix_decode_kv, ring_pass_kv_prefill_bidi,
-    ring_pass_kv_prefill_on, ring_pass_kv_prefill_quant_bidi, ring_pass_kv_prefill_quant_on,
-    ring_pass_q_decode_bidi_kv, ring_pass_q_decode_kv, ring_pass_q_prefill_bidi_kv,
-    ring_pass_q_prefill_kv_on, run_ring_on, tp_only_decode_kv, RankKv,
+    attn_block_for, decode_slot_layout, helix_decode, ring_pass_kv_prefill, ring_pass_q_decode,
+    ring_pass_q_prefill, run_ring_on, tp_only_decode, RankKv,
 };
 use cp_core::schedule::{
-    decode_bidi_plan, decode_plan, helix_layer_plan, pass_kv_bidi_plan, pass_kv_plan_on,
-    pass_kv_quant_bidi_plan, pass_kv_quant_plan_on, pass_q_bidi_plan, pass_q_plan_on, stacked_plan,
-    tp_only_decode_plan, RingLayout,
+    helix_layer_plan, ring_plan, stacked_plan, tp_only_decode_plan, RingInput, RingLayout,
 };
 use cp_core::{CoreError, DecodeSlot, KvPrecision, LocalSeq, RingMsg, SchedulePolicy, SeqKv, SeqQ};
 use cp_kvcache::{CacheStats, KvCacheConfig, PagedKvCache, QuantKvCache, SeqId};
 use cp_model::rope::apply_rope;
 use cp_model::{rms_norm_on, silu, Linear, Transformer};
-use cp_perf::schedule::{choose_family, hop_bytes_per_layer, quant_kv_hop_bytes_per_layer};
-use cp_perf::{
-    choose_decode_strategy, DecodeStrategy, RingDirection, RingTopologyKind, RingVariant,
-    TopologySpec,
-};
+use cp_perf::{DecodeStrategy, RingDirection, RingVariant, TopologySpec};
 use cp_pool::ComputePool;
 use cp_sharding::shard_new_tokens;
 use cp_tensor::Tensor;
@@ -185,10 +176,6 @@ pub struct TransformerEngine {
     /// When set, every projection runs the naive audit GEMM instead of
     /// the packed tiled kernel (bit-identical, slower).
     reference_gemm: bool,
-    /// When set, the pass-Q prefill and decode hot paths materialize the
-    /// per-layer cache with [`PagedKvCache::gather`] instead of borrowing
-    /// it zero-copy via [`cp_kvcache::KvView`] (bit-identical, slower).
-    gather_hot_kv: bool,
     /// Ring schedule family (direction × layout) for every turn's rings.
     schedule: SchedulePolicy,
     /// KV storage / wire precision (see [`KvPrecision`]).
@@ -316,7 +303,6 @@ impl TransformerEngine {
             check_schedules: false,
             pool_threads: 0,
             reference_gemm: false,
-            gather_hot_kv: false,
             schedule: SchedulePolicy::default(),
             kv_precision: KvPrecision::default(),
             decode_strategy: None,
@@ -341,28 +327,11 @@ impl TransformerEngine {
         self
     }
 
-    /// Resolves the decode strategy for one tick: an explicit pin wins;
-    /// a fixed schedule defaults to batched pass-Q; `Auto` lets the
-    /// Appendix-D comm model price all three strategies at this tick's
-    /// (total context, batch) point.
-    fn resolve_decode_strategy(&self, ctx_total: usize, batch: usize) -> DecodeStrategy {
-        if let Some(pinned) = self.decode_strategy {
-            return pinned;
-        }
-        match &self.schedule {
-            SchedulePolicy::Fixed { .. } => DecodeStrategy::PassQ,
-            SchedulePolicy::Auto { topo } => {
-                choose_decode_strategy(&self.heuristic_ctx.model, topo, ctx_total, batch)
-            }
-        }
-    }
-
     /// Sets the KV precision level: `F32` is exact, `Int8Wire` compresses
     /// the circulating pass-KV ring payloads (~`4d/(d+4)`× fewer bytes
     /// per hop), `Int8Total` additionally stores KV as INT8 pages and
-    /// attends them in place on the pass-Q/decode hot paths. A/B builder
-    /// in the [`TransformerEngine::with_gathered_hot_kv`] style — call it
-    /// at construction, before any session holds tokens.
+    /// attends them in place on the pass-Q/decode hot paths. Call it at
+    /// construction, before any session holds tokens.
     #[must_use]
     pub fn with_kv_precision(mut self, precision: KvPrecision) -> Self {
         self.kv_precision = precision;
@@ -390,7 +359,11 @@ impl TransformerEngine {
     /// for every turn. All four families are bit-exact for pass-Q and
     /// decode; hierarchical pass-KV folds origins in a different order
     /// (exact but not bitwise against the flat default). The checked-mode
-    /// declared plans follow the selected family automatically.
+    /// declared plans follow the selected family automatically. A
+    /// hierarchical layout must cover exactly the engine's rank count —
+    /// a mismatch fails [`TransformerEngine::begin_prefill`] /
+    /// [`TransformerEngine::decode_batch`] with
+    /// [`CoreError::BadRequest`] before any rank runs.
     #[must_use]
     pub fn with_schedule(mut self, direction: RingDirection, layout: RingLayout) -> Self {
         self.schedule = SchedulePolicy::Fixed { direction, layout };
@@ -399,51 +372,11 @@ impl TransformerEngine {
 
     /// Folds schedule-family selection into each turn's heuristics over
     /// the given link topology (`topo.world()` must equal the engine's
-    /// rank count — mismatches fail the turn).
+    /// rank count — checked like [`TransformerEngine::with_schedule`]).
     #[must_use]
     pub fn with_auto_schedule(mut self, topo: TopologySpec) -> Self {
         self.schedule = SchedulePolicy::Auto { topo };
         self
-    }
-
-    /// Resolves the schedule policy to `(direction, layout)` for one
-    /// turn's payload (see `ContextParallelEngine::resolve_schedule`).
-    fn resolve_schedule(
-        &self,
-        variant: RingVariant,
-        t: usize,
-        p: usize,
-    ) -> Result<(RingDirection, RingLayout), ServeError> {
-        match &self.schedule {
-            SchedulePolicy::Fixed { direction, layout } => Ok((*direction, *layout)),
-            SchedulePolicy::Auto { topo } => {
-                if topo.world() != self.n_ranks {
-                    return Err(ServeError::Core(CoreError::BadRequest {
-                        reason: format!(
-                            "auto-schedule topology covers {} ranks but the engine has {}",
-                            topo.world(),
-                            self.n_ranks
-                        ),
-                    }));
-                }
-                let bytes = match (variant, self.kv_precision) {
-                    (RingVariant::PassKv, KvPrecision::Int8Wire | KvPrecision::Int8Total) => {
-                        quant_kv_hop_bytes_per_layer(&self.heuristic_ctx.model, topo.world(), t, p)
-                    }
-                    _ => {
-                        hop_bytes_per_layer(&self.heuristic_ctx.model, variant, topo.world(), t, p)
-                    }
-                };
-                let family = choose_family(topo, bytes);
-                let layout = match family.topology {
-                    RingTopologyKind::Flat => RingLayout::Flat,
-                    RingTopologyKind::Hierarchical => {
-                        RingLayout::Hier(Topology::new(topo.nodes, topo.ranks_per_node))
-                    }
-                };
-                Ok((family.direction, layout))
-            }
-        }
     }
 
     /// Sets each rank's persistent compute-pool width (`0` restores the
@@ -464,18 +397,6 @@ impl TransformerEngine {
     #[must_use]
     pub fn with_reference_gemm(mut self, enabled: bool) -> Self {
         self.reference_gemm = enabled;
-        self
-    }
-
-    /// Routes the pass-Q prefill and decode hot paths through
-    /// [`PagedKvCache::gather`] — the O(context) materializing copy —
-    /// instead of the zero-copy [`cp_kvcache::KvView`]. Outputs are
-    /// bit-identical; only the bytes touched per token change. This is
-    /// the A-side of the cp-bench `decode_steady` A/B. Pass-KV prefill
-    /// always gathers, because its KV circulates on the wire.
-    #[must_use]
-    pub fn with_gathered_hot_kv(mut self, enabled: bool) -> Self {
-        self.gather_hot_kv = enabled;
         self
     }
 
@@ -736,13 +657,15 @@ impl TransformerEngine {
     /// [`ServeError::SessionDesync`] (or a propagated cache error) when
     /// the per-rank caches disagree with the session table — the poisoned
     /// state that previously read as "empty cache" and flipped the
-    /// variant heuristic.
+    /// variant heuristic; [`CoreError::BadRequest`] when the schedule
+    /// policy's topology does not cover the engine's ranks.
     pub fn begin_prefill(
         &mut self,
         seq: SeqId,
         tokens: &[u32],
         forced: Option<RingVariant>,
     ) -> Result<PrefillTurn, ServeError> {
+        self.schedule.validate(self.n_ranks)?;
         let state = self.state(seq)?;
         let p = state.len;
         let cached: usize = self.rank_lens(seq)?.iter().sum();
@@ -837,7 +760,13 @@ impl TransformerEngine {
         let variant = turn.variant;
         let base = turn.base;
         let tokens = &turn.tokens;
-        let (direction, layout) = self.resolve_schedule(variant, turn.tokens.len(), turn.base)?;
+        let spec = self.schedule.resolve(
+            &self.heuristic_ctx,
+            self.kv_precision,
+            variant,
+            turn.tokens.len(),
+            turn.base,
+        );
 
         // Declared schedule for checked mode: plans depend only on shapes,
         // so zero tensors of the per-rank geometry reproduce exactly what
@@ -856,27 +785,11 @@ impl TransformerEngine {
                     }]
                 })
                 .collect();
-            let compressed = self.kv_precision != KvPrecision::F32;
-            let layer_plan = match (variant, direction, compressed) {
-                (RingVariant::PassKv, RingDirection::Uni, false) => {
-                    pass_kv_plan_on(&locals, layout)?
-                }
-                (RingVariant::PassKv, RingDirection::Bidi, false) => {
-                    pass_kv_bidi_plan(&locals, layout)?
-                }
-                (RingVariant::PassKv, RingDirection::Uni, true) => {
-                    pass_kv_quant_plan_on(&locals, layout)?
-                }
-                (RingVariant::PassKv, RingDirection::Bidi, true) => {
-                    pass_kv_quant_bidi_plan(&locals, layout)?
-                }
-                (RingVariant::PassQ, RingDirection::Uni, _) => {
-                    pass_q_plan_on(&params, &locals, layout)?
-                }
-                (RingVariant::PassQ, RingDirection::Bidi, _) => {
-                    pass_q_bidi_plan(&params, &locals, layout)?
-                }
+            let input = match variant {
+                RingVariant::PassKv => RingInput::PassKv(&locals),
+                RingVariant::PassQ => RingInput::PassQ(&locals),
             };
+            let layer_plan = ring_plan(input, &spec, &params)?;
             Some(stacked_plan(layer_plan, config.n_layers))
         } else {
             None
@@ -886,8 +799,6 @@ impl TransformerEngine {
         // (the same pool the ring attention kernels use), so GEMM
         // row-bands and ring compute share one set of worker threads.
         let reference = self.reference_gemm;
-        let gather_hot = self.gather_hot_kv;
-        let compressed = self.kv_precision != KvPrecision::F32;
         let total_quant = self.kv_precision == KvPrecision::Int8Total;
         let qranks = &self.qranks;
         let body = move |comm: &cp_comm::Communicator<RingMsg>| {
@@ -942,25 +853,10 @@ impl TransformerEngine {
                             v: cv,
                             kv_pos: cpos,
                         };
-                        let local = std::slice::from_ref(&local);
-                        match (direction, compressed) {
-                            (RingDirection::Uni, false) => {
-                                ring_pass_kv_prefill_on(comm, &params, local, layout)?
-                            }
-                            (RingDirection::Bidi, false) => {
-                                ring_pass_kv_prefill_bidi(comm, &params, local, layout)?
-                            }
-                            (RingDirection::Uni, true) => {
-                                ring_pass_kv_prefill_quant_on(comm, &params, local, layout)?
-                            }
-                            (RingDirection::Bidi, true) => {
-                                ring_pass_kv_prefill_quant_bidi(comm, &params, local, layout)?
-                            }
-                        }
+                        ring_pass_kv_prefill(comm, &params, &spec, std::slice::from_ref(&local))?
                     }
                     // Pass-Q keeps KV resident: attend straight over the
-                    // paged cache (zero-copy f32 or INT8 pages), or gather
-                    // in A/B mode.
+                    // paged cache (zero-copy f32 or INT8 pages).
                     RingVariant::PassQ => {
                         let queries = [SeqQ {
                             q,
@@ -968,24 +864,10 @@ impl TransformerEngine {
                         }];
                         let kv = if let Some(qc) = qcaches.as_ref() {
                             [RankKv::QuantView(qc[l].view(seq)?)]
-                        } else if gather_hot {
-                            let (ck, cv, cpos) = caches[l].gather(seq)?;
-                            [RankKv::tensors(SeqKv {
-                                k: ck,
-                                v: cv,
-                                pos: cpos,
-                            })]
                         } else {
                             [RankKv::View(caches[l].view(seq)?)]
                         };
-                        match direction {
-                            RingDirection::Uni => {
-                                ring_pass_q_prefill_kv_on(comm, &params, &queries, &kv, layout)?
-                            }
-                            RingDirection::Bidi => {
-                                ring_pass_q_prefill_bidi_kv(comm, &params, &queries, &kv, layout)?
-                            }
-                        }
+                        ring_pass_q_prefill(comm, &params, &spec, &queries, &kv)?
                     }
                 }
                 .pop()
@@ -1077,14 +959,16 @@ impl TransformerEngine {
     ///
     /// # Errors
     ///
-    /// Rejects empty batches and duplicate sessions; unknown sessions
-    /// surface as [`ServeError::UnknownSession`]; layer, cache and
-    /// communication failures roll the tick back and propagate.
+    /// Rejects empty batches, duplicate sessions and a schedule topology
+    /// that does not cover the engine's ranks (all before any rank runs);
+    /// unknown sessions surface as [`ServeError::UnknownSession`]; layer,
+    /// cache and communication failures roll the tick back and propagate.
     pub fn decode_batch(
         &mut self,
         batch: &[(SeqId, u32)],
     ) -> Result<DecodeBatchOutcome, ServeError> {
         let n = self.n_ranks;
+        self.schedule.validate(n)?;
         if batch.is_empty() {
             return Err(ServeError::Core(CoreError::BadRequest {
                 reason: "decode batch is empty".to_string(),
@@ -1144,15 +1028,16 @@ impl TransformerEngine {
             .iter()
             .map(|&(seq, _)| Ok(self.state(seq)?.len + 1))
             .sum::<Result<usize, ServeError>>()?;
-        let strategy = self.resolve_decode_strategy(ctx_total, batch.len());
+        // The resolved cell applies only to the pass-Q strategy's ring.
+        let (strategy, spec) = self.schedule.resolve_decode(
+            &self.heuristic_ctx,
+            self.decode_strategy,
+            ctx_total,
+            batch.len(),
+        );
         if strategy == DecodeStrategy::Helix && self.tp_shards.is_none() {
             self.tp_shards = Some(split_tp_shards(&self.model, n)?);
         }
-
-        // The decode rings are layout-free (the batched All2All return is
-        // direct), so only the direction of the schedule family applies
-        // here — and only to the pass-Q strategy's ring.
-        let (direction, _) = self.resolve_schedule(RingVariant::PassQ, batch.len(), 0)?;
 
         // Declared schedule for checked mode: decode traffic depends only
         // on which ranks own live slots, not on cache contents.
@@ -1175,10 +1060,7 @@ impl TransformerEngine {
                 })
                 .collect();
             let layer_plan = match strategy {
-                DecodeStrategy::PassQ => match direction {
-                    RingDirection::Uni => decode_plan(&params, &slots)?,
-                    RingDirection::Bidi => decode_bidi_plan(&params, &slots)?,
-                },
+                DecodeStrategy::PassQ => ring_plan(RingInput::Decode(&slots), &spec, &params)?,
                 // One Helix layer = the decode exchange plus the three
                 // reshard collectives, in exactly the order the body
                 // issues them.
@@ -1213,7 +1095,6 @@ impl TransformerEngine {
         };
 
         let reference = self.reference_gemm;
-        let gather_hot = self.gather_hot_kv;
         let total_quant = self.kv_precision == KvPrecision::Int8Total;
         let qranks = &self.qranks;
         let bt = batch.len();
@@ -1287,20 +1168,13 @@ impl TransformerEngine {
                         for &seq in batch_seqs_ref {
                             batch_kv.push(if let Some(qc) = qcaches.as_ref() {
                                 RankKv::QuantView(qc[l].view(seq)?)
-                            } else if gather_hot {
-                                let (ck, cv, cpos) = caches[l].gather(seq)?;
-                                RankKv::tensors(SeqKv {
-                                    k: ck,
-                                    v: cv,
-                                    pos: cpos,
-                                })
                             } else {
                                 RankKv::View(caches[l].view(seq)?)
                             });
                         }
                         // KV-parallel attention: one DecodeQ AllGather + the
                         // exact merge (bitwise equal to the pass-Q ring).
-                        let outs = helix_decode_kv(comm, &params, &slots, &batch_kv)?;
+                        let outs = helix_decode(comm, &params, &slots, &batch_kv)?;
                         let attn_own = if outs.is_empty() {
                             Tensor::zeros(&[0, d_model])
                         } else {
@@ -1418,26 +1292,14 @@ impl TransformerEngine {
                     for &seq in batch_seqs_ref {
                         batch_kv.push(if let Some(qc) = qcaches.as_ref() {
                             RankKv::QuantView(qc[l].view(seq)?)
-                        } else if gather_hot {
-                            let (ck, cv, cpos) = caches[l].gather(seq)?;
-                            RankKv::tensors(SeqKv {
-                                k: ck,
-                                v: cv,
-                                pos: cpos,
-                            })
                         } else {
                             RankKv::View(caches[l].view(seq)?)
                         });
                     }
                     let outs = match strategy {
-                        DecodeStrategy::PassQ => match direction {
-                            RingDirection::Uni => {
-                                ring_pass_q_decode_kv(comm, &params, &slots, &batch_kv)?
-                            }
-                            RingDirection::Bidi => {
-                                ring_pass_q_decode_bidi_kv(comm, &params, &slots, &batch_kv)?
-                            }
-                        },
+                        DecodeStrategy::PassQ => {
+                            ring_pass_q_decode(comm, &params, &spec, &slots, &batch_kv)?
+                        }
                         // TP-only: broadcast this rank's post-append shard of
                         // every batched session; owners fold one partial per
                         // shard in rank order — bit-identical to pass-Q.
@@ -1466,7 +1328,7 @@ impl TransformerEngine {
                             } else {
                                 Vec::new()
                             };
-                            tp_only_decode_kv(comm, &params, &slots, &batch_kv, &wire, attn_block)?
+                            tp_only_decode(comm, &params, &slots, &batch_kv, &wire, attn_block)?
                         }
                         DecodeStrategy::Helix => {
                             return Err(CoreError::Internal {

@@ -160,50 +160,6 @@ fn deeper_model_multi_turn_exactness() {
 }
 
 #[test]
-fn gathered_and_zero_copy_hot_paths_are_bit_identical() {
-    // The zero-copy KvView hot path (default) vs the materializing
-    // gather() path must produce bit-identical activations over a mixed
-    // multi-turn trace — partial prefills (forced pass-Q so the view
-    // path is exercised with ragged cache lengths) interleaved with
-    // decode steps, at CP 2 and 3.
-    let trace: &[&[u32]] = &[
-        &[1, 2, 3, 4, 5, 6, 7, 8, 9],
-        &[100],
-        &[101],
-        &[10, 11, 12, 13, 14],
-        &[102],
-        &[20, 21, 22],
-        &[103],
-    ];
-    for n in [2usize, 3] {
-        let mut fast = TransformerEngine::new(model(23), n).unwrap();
-        let mut slow = TransformerEngine::new(model(23), n)
-            .unwrap()
-            .with_gathered_hot_kv(true);
-        for (i, chunk) in trace.iter().enumerate() {
-            let decode = chunk.len() == 1 && i > 0;
-            let (f, s) = if decode {
-                (
-                    fast.decode(chunk[0]).unwrap(),
-                    slow.decode(chunk[0]).unwrap(),
-                )
-            } else {
-                let forced = (i > 0).then_some(RingVariant::PassQ);
-                (
-                    fast.prefill_with(chunk, forced).unwrap(),
-                    slow.prefill_with(chunk, forced).unwrap(),
-                )
-            };
-            assert_eq!(
-                f.activations, s.activations,
-                "n={n} step {i}: view and gather hot paths must be bit-identical"
-            );
-            assert_eq!(f.traffic.send_recv_bytes, s.traffic.send_recv_bytes);
-        }
-    }
-}
-
-#[test]
 fn checked_fabric_soak_multi_turn() {
     // Soak: a long mixed prefill/decode conversation with live schedule
     // validation on — every layer's ring collectives are checked against
@@ -330,6 +286,49 @@ fn hierarchical_schedule_serves_exactly() {
                 out.activations.max_abs_diff(&expected[i]).unwrap()
             );
         }
+    }
+}
+
+#[test]
+fn mismatched_schedule_topology_is_a_typed_error_before_any_rank_runs() {
+    // A topology that does not cover the engine's ranks used to be caught
+    // only for `Auto`; a fixed hierarchical layout spawned the ranks,
+    // appended to the caches, failed inside the ring as a stringified
+    // `RankFailed`, and rolled back. Both policies must now be refused up
+    // front, from `begin_prefill` and `decode_batch` alike, as a typed
+    // `BadRequest` that leaves the session untouched.
+    use cp_comm::Topology;
+    use cp_core::schedule::RingLayout;
+    use cp_core::CoreError;
+    use cp_kvcache::SeqId;
+    use cp_perf::{RingDirection, TopologySpec};
+    use cp_serve::ServeError;
+    let seq = SeqId(7);
+    let engines = [
+        TransformerEngine::new(model(60), 3)
+            .unwrap()
+            .with_schedule(RingDirection::Uni, RingLayout::Hier(Topology::new(2, 2))),
+        TransformerEngine::new(model(60), 3)
+            .unwrap()
+            .with_auto_schedule(TopologySpec::new(2, 2, 200.0, 10.0, 5.0)),
+    ];
+    for mut engine in engines {
+        engine.create_session(seq).unwrap();
+        let prefill = engine
+            .begin_prefill(seq, &[1, 2, 3, 4, 5], None)
+            .map(|_| ());
+        let decode = engine.decode_batch(&[(seq, 9)]).map(|_| ());
+        for (what, result) in [("begin_prefill", prefill), ("decode_batch", decode)] {
+            match result {
+                Err(ServeError::Core(CoreError::BadRequest { reason })) => assert!(
+                    reason.contains("covers 4 ranks but the engine has 3"),
+                    "{what}: {reason}"
+                ),
+                other => panic!("{what}: expected a typed BadRequest, got {other:?}"),
+            }
+        }
+        assert_eq!(engine.session_len(seq).unwrap(), 0);
+        assert_eq!(engine.rank_kv_lens_for(seq).unwrap(), vec![0, 0, 0]);
     }
 }
 

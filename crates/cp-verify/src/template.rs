@@ -1934,9 +1934,23 @@ mod tests {
     use super::*;
     use crate::check::check_plan;
     use crate::explore::explore_default;
+    use cp_attention::AttentionOutput;
+    use cp_comm::Communicator;
     use cp_comm::{CheckedFabric, CommError};
-    use cp_core::ring::{helix_decode, ring_pass_kv_prefill, ring_pass_q_prefill};
+    use cp_core::ring::{helix_decode, ring_pass_kv_prefill, ring_pass_q_prefill, RankKv};
     use cp_core::schedule::run_ring_checked;
+    use cp_core::{RingMsg, RingSpec, SeqQ};
+
+    /// One rank's default-cell pass-Q body over its `LocalSeq` shards.
+    fn pass_q(
+        comm: &Communicator<RingMsg>,
+        params: &AttentionParams,
+        locals: &[LocalSeq],
+    ) -> Result<Vec<AttentionOutput>, CoreError> {
+        let queries: Vec<SeqQ> = locals.iter().map(LocalSeq::queries).collect();
+        let kv: Vec<RankKv<'_>> = locals.iter().map(|l| l.kv().into()).collect();
+        ring_pass_q_prefill(comm, params, &RingSpec::default(), &queries, &kv)
+    }
 
     #[test]
     fn laws_accept_every_production_template() {
@@ -2211,10 +2225,8 @@ mod tests {
                 .unwrap();
         let plan = mutant.ground(3, &tables).unwrap();
         let fabric = CheckedFabric::new(plan);
-        let err = run_ring_checked(&fabric, |comm| {
-            ring_pass_q_prefill(comm, &params, &locals[comm.rank()])
-        })
-        .unwrap_err();
+        let err = run_ring_checked(&fabric, |comm| pass_q(comm, &params, &locals[comm.rank()]))
+            .unwrap_err();
         expect_plan_violation(err, "wrong-recv-byte-expr");
     }
 
@@ -2228,10 +2240,8 @@ mod tests {
                 .unwrap();
         let plan = mutant.ground(3, &tables).unwrap();
         let fabric = CheckedFabric::new(plan);
-        let err = run_ring_checked(&fabric, |comm| {
-            ring_pass_q_prefill(comm, &params, &locals[comm.rank()])
-        })
-        .unwrap_err();
+        let err = run_ring_checked(&fabric, |comm| pass_q(comm, &params, &locals[comm.rank()]))
+            .unwrap_err();
         expect_plan_violation(err, "rotation-off-by-one");
     }
 
@@ -2250,7 +2260,7 @@ mod tests {
         assert!(check_plan(&plan).is_clean());
         let fabric = CheckedFabric::new(plan);
         let err = run_ring_checked(&fabric, |comm| {
-            ring_pass_kv_prefill(comm, &params, &locals[comm.rank()])
+            ring_pass_kv_prefill(comm, &params, &RingSpec::default(), &locals[comm.rank()])
         })
         .unwrap_err();
         expect_plan_violation(err, "drop-final-hop");
@@ -2283,15 +2293,17 @@ mod tests {
     /// real-slot counts `[2, 1, 2]` at world 3, so the Helix byte tables
     /// are genuinely non-uniform (the 2-slot grid used by
     /// `template_cases` degenerates to one real slot per rank).
-    fn helix_grid() -> (Vec<Vec<Option<DecodeSlot>>>, Vec<SeqKv>) {
+    fn helix_grid() -> (Vec<Vec<Option<DecodeSlot>>>, Vec<RankKv<'static>>) {
         let params = grid_params().unwrap();
         let shape = params.shape;
         let slots = grid_slots(3, 3, true, shape);
-        let batch_kv: Vec<SeqKv> = (0..3)
-            .map(|b| SeqKv {
-                k: Tensor::zeros(&[b + 2, shape.n_kv_heads(), shape.head_dim()]),
-                v: Tensor::zeros(&[b + 2, shape.n_kv_heads(), shape.head_dim()]),
-                pos: (0..b + 2).collect(),
+        let batch_kv = (0..3)
+            .map(|b| {
+                RankKv::from(SeqKv {
+                    k: Tensor::zeros(&[b + 2, shape.n_kv_heads(), shape.head_dim()]),
+                    v: Tensor::zeros(&[b + 2, shape.n_kv_heads(), shape.head_dim()]),
+                    pos: (0..b + 2).collect(),
+                })
             })
             .collect();
         (slots, batch_kv)
@@ -2352,10 +2364,8 @@ mod tests {
         let plan = pass_q_template().ground(3, &q_tables).unwrap();
         let predicted = plan.predicted_traffic();
         let fabric = CheckedFabric::new(plan);
-        let (_, report) = run_ring_checked(&fabric, |comm| {
-            ring_pass_q_prefill(comm, &params, &locals[comm.rank()])
-        })
-        .unwrap();
+        let (_, report) =
+            run_ring_checked(&fabric, |comm| pass_q(comm, &params, &locals[comm.rank()])).unwrap();
         predicted.check_report(&report).unwrap();
     }
 

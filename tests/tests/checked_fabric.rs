@@ -1,19 +1,24 @@
 //! End-to-end schedule verification: the three ring algorithms run under
 //! a [`CheckedFabric`] whose declared plan is validated offline by
 //! `cp-verify` first, then enforced against live traffic — for CP ∈
-//! {2, 4, 8}. Seeded mutations must be caught by BOTH layers (model
-//! checker offline, `CheckedFabric` at runtime), each naming the
+//! {2, 4, 8} on the default cell and for every supported [`RingSpec`]
+//! cell at CP ∈ 2..=5. Seeded mutations must be caught by BOTH layers
+//! (model checker offline, `CheckedFabric` at runtime), each naming the
 //! offending rank.
+
+#[path = "../../crates/cp-core/tests/support/mod.rs"]
+mod support;
 
 use std::time::Duration;
 
 use cp_attention::{AttentionParams, GqaShape};
 use cp_comm::{CheckedFabric, CommError};
-use cp_core::ring::{ring_pass_kv_prefill, ring_pass_q_decode, ring_pass_q_prefill};
-use cp_core::schedule::{decode_plan, pass_kv_plan, pass_q_plan, run_ring_checked};
-use cp_core::{CoreError, DecodeSlot, LocalSeq, SeqKv};
+use cp_core::ring::ring_pass_kv_prefill;
+use cp_core::schedule::{pass_kv_plan, ring_plan, run_ring_checked, RingInput};
+use cp_core::{CoreError, DecodeSlot, LocalSeq, RingSpec, SeqKv};
 use cp_tensor::DetRng;
 use cp_verify::{apply_mutation, check_plan, explore_default, Mutation};
+use support::{decode_body, pass_q_body, spec_grid, unsupported_cells, Inputs};
 
 fn params() -> AttentionParams {
     AttentionParams::for_shape(GqaShape::new(4, 2, 8).unwrap())
@@ -75,12 +80,13 @@ fn pass_kv_runs_checked_at_cp_2_4_8() {
     let p = params();
     for n in [2, 4, 8] {
         let inputs = locals(n, 3, 100 + n as u64);
-        let plan = pass_kv_plan(&inputs).unwrap();
+        let spec = RingSpec::default();
+        let plan = ring_plan(RingInput::PassKv(&inputs), &spec, &p).unwrap();
         assert!(check_plan(&plan).is_clean());
         let predicted = plan.predicted_traffic();
         let fabric = CheckedFabric::new(plan);
         let (outs, report) = run_ring_checked(&fabric, |comm| {
-            ring_pass_kv_prefill(comm, &p, &inputs[comm.rank()])
+            ring_pass_kv_prefill(comm, &p, &spec, &inputs[comm.rank()])
         })
         .unwrap();
         assert_eq!(outs.len(), n);
@@ -93,12 +99,13 @@ fn pass_q_runs_checked_at_cp_2_4_8() {
     let p = params();
     for n in [2, 4, 8] {
         let inputs = locals(n, 2, 200 + n as u64);
-        let plan = pass_q_plan(&p, &inputs).unwrap();
+        let spec = RingSpec::default();
+        let plan = ring_plan(RingInput::PassQ(&inputs), &spec, &p).unwrap();
         assert!(check_plan(&plan).is_clean());
         let predicted = plan.predicted_traffic();
         let fabric = CheckedFabric::new(plan);
         let (outs, report) = run_ring_checked(&fabric, |comm| {
-            ring_pass_q_prefill(comm, &p, &inputs[comm.rank()])
+            pass_q_body(comm, &p, &spec, &inputs[comm.rank()])
         })
         .unwrap();
         assert_eq!(outs.len(), n);
@@ -111,16 +118,39 @@ fn decode_runs_checked_at_cp_2_4_8() {
     let p = params();
     for n in [2, 4, 8] {
         let (slots, kv) = decode_inputs(n, 300 + n as u64);
-        let plan = decode_plan(&p, &slots).unwrap();
+        let spec = RingSpec::default();
+        let plan = ring_plan(RingInput::Decode(&slots), &spec, &p).unwrap();
         assert!(check_plan(&plan).is_clean());
         let predicted = plan.predicted_traffic();
         let fabric = CheckedFabric::new(plan);
         let (outs, report) = run_ring_checked(&fabric, |comm| {
-            ring_pass_q_decode(comm, &p, &slots[comm.rank()], &kv[comm.rank()])
+            decode_body(comm, &p, &spec, &slots[comm.rank()], &kv[comm.rank()])
         })
         .unwrap();
         assert_eq!(outs.len(), n);
         predicted.check_report(&report).unwrap();
+    }
+}
+
+/// Every supported schedule cell at CP ∈ 2..=5: its declared plan passes
+/// the model checker offline, the single ring loop runs it under a
+/// `CheckedFabric` with predicted == measured traffic, and its outputs
+/// meet the cell's numeric contract against the default cell. Every
+/// unsupported cell is refused by both `ring_plan` and the loop before
+/// any message is posted.
+#[test]
+fn every_spec_cell_runs_checked_and_unsupported_cells_are_refused() {
+    let p = support::params();
+    for world in 2..=5 {
+        let inputs = Inputs::new(world, &p, 600 + world as u64);
+        for cell in spec_grid(world) {
+            let report = check_plan(&cell.plan(&p, &inputs).unwrap());
+            assert!(report.is_clean(), "{cell:?}: {:?}", report.violations);
+            cell.assert_contract(&p, &inputs);
+        }
+        for cell in unsupported_cells(world) {
+            cell.assert_rejected(&p, &inputs);
+        }
     }
 }
 
@@ -130,7 +160,7 @@ fn run_pass_kv_against(plan: cp_comm::CommPlan, inputs: &[Vec<LocalSeq>]) -> Com
     let p = params();
     let fabric = CheckedFabric::new(plan).recv_timeout(Duration::from_millis(500));
     let err = run_ring_checked(&fabric, |comm| {
-        ring_pass_kv_prefill(comm, &p, &inputs[comm.rank()])
+        ring_pass_kv_prefill(comm, &p, &RingSpec::default(), &inputs[comm.rank()])
     })
     .unwrap_err();
     match err {

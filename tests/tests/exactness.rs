@@ -3,8 +3,8 @@
 
 use cp_attention::{AttentionParams, GqaShape, PAD};
 use cp_core::baseline::{all_gather_pass_kv_prefill, single_device_prefill};
-use cp_core::ring::{ring_pass_kv_prefill, ring_pass_q_prefill, run_ring};
-use cp_core::{ContextParallelEngine, EngineConfig, LocalSeq, PrefillRequest};
+use cp_core::ring::{ring_pass_kv_prefill, ring_pass_q_prefill, run_ring, RankKv};
+use cp_core::{ContextParallelEngine, EngineConfig, LocalSeq, PrefillRequest, RingSpec, SeqQ};
 use cp_kvcache::SeqId;
 use cp_perf::RingVariant;
 use cp_sharding::ShardPlan;
@@ -68,9 +68,18 @@ fn every_distributed_variant_agrees_with_reference() {
     let reference = single_device_prefill(&q, &k, &v, &params, &pos, &pos).unwrap();
     let (locals, rank_pos) = build_locals(n, t, &q, &k, &v);
 
-    let (pass_kv, _) =
-        run_ring(n, |c| ring_pass_kv_prefill(c, &params, &locals[c.rank()])).unwrap();
-    let (pass_q, _) = run_ring(n, |c| ring_pass_q_prefill(c, &params, &locals[c.rank()])).unwrap();
+    let spec = RingSpec::default();
+    let (pass_kv, _) = run_ring(n, |c| {
+        ring_pass_kv_prefill(c, &params, &spec, &locals[c.rank()])
+    })
+    .unwrap();
+    let (pass_q, _) = run_ring(n, |c| {
+        let mine = &locals[c.rank()];
+        let queries: Vec<SeqQ> = mine.iter().map(LocalSeq::queries).collect();
+        let kv: Vec<RankKv<'_>> = mine.iter().map(|l| l.kv().into()).collect();
+        ring_pass_q_prefill(c, &params, &spec, &queries, &kv)
+    })
+    .unwrap();
     let (all_gather, _) = run_ring(n, |c| {
         all_gather_pass_kv_prefill(c, &params, &locals[c.rank()])
     })
@@ -243,7 +252,10 @@ fn all_gather_and_ring_move_equal_bytes() {
     let mut rng = DetRng::new(99);
     let (q, k, v) = qkv(&mut rng, t);
     let (locals, _) = build_locals(n, t, &q, &k, &v);
-    let (_, ring) = run_ring(n, |c| ring_pass_kv_prefill(c, &params, &locals[c.rank()])).unwrap();
+    let (_, ring) = run_ring(n, |c| {
+        ring_pass_kv_prefill(c, &params, &RingSpec::default(), &locals[c.rank()])
+    })
+    .unwrap();
     let (_, gather) = run_ring(n, |c| {
         all_gather_pass_kv_prefill(c, &params, &locals[c.rank()])
     })
