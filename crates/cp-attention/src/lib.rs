@@ -10,9 +10,11 @@
 //!
 //! * [`naive_gqa_attention`] — the auditable reference kernel,
 //! * [`blocked_gqa_attention`] — a flash-style single-pass online-softmax
-//!   kernel (stands in for FlashAttention-3),
-//! * [`flash_decode`] — a split-KV decode kernel (stands in for
-//!   Flash-Decoding), built from partials + merge,
+//!   kernel (stands in for FlashAttention-3): a query tile x KV block loop
+//!   over register micro-kernels, bit-identical to the scalar row walk it
+//!   replaced. Decode runs it too, one query over a paged cache view
+//!   ([`blocked_gqa_attention_source`]), in place of a split-KV
+//!   Flash-Decoding kernel,
 //! * [`merge_partials`] — merge attention itself.
 //!
 //! All kernels take **global position arrays** for queries and keys instead
@@ -55,7 +57,6 @@
 
 pub mod approx;
 mod blocked;
-mod decode;
 mod error;
 mod naive;
 mod output;
@@ -67,7 +68,6 @@ pub use blocked::{
     blocked_gqa_attention, blocked_gqa_attention_on, blocked_gqa_attention_source,
     blocked_gqa_attention_with_threads,
 };
-pub use decode::{flash_decode, flash_decode_source};
 pub use error::AttentionError;
 pub use naive::naive_gqa_attention;
 pub use output::{merge_partials, AttentionOutput};

@@ -1,6 +1,6 @@
 //! The reference GQA attention kernel.
 
-use crate::{AttentionError, AttentionOutput, AttentionParams, KvSource, PAD};
+use crate::{AttentionError, AttentionOutput, AttentionParams, PAD};
 use cp_tensor::{softmax_row_in_place, Tensor};
 
 /// Validates position arrays against their tensors' token counts.
@@ -125,80 +125,6 @@ pub fn naive_gqa_attention(
                 }
                 for (o, &x) in ohead.iter_mut().zip(vrow.iter().skip(koff)) {
                     *o += w * x;
-                }
-            }
-        }
-    }
-    AttentionOutput::new(out, lse)
-}
-
-/// [`naive_gqa_attention`] restricted to KV rows
-/// `[start, start + pos_chunk.len())` of a [`KvSource`].
-///
-/// This performs, per `(query, head)`, the exact f32 operation sequence of
-/// the reference kernel applied to a contiguous slice of those rows — the
-/// same full-score-buffer fill, the same `softmax_row_in_place`, the same
-/// zero-weight skip — so `flash_decode` over a paged source is bit-identical
-/// to `flash_decode` over `gather()`ed tensors. KV head vectors come
-/// through [`KvSource::k_head`] / [`KvSource::v_head`], so an INT8 source
-/// dequantizes per head into the reused scratch with no materialized f32
-/// cache copy. Out-of-range row lookups (impossible after the caller's
-/// shape checks) fold into the masked branch.
-pub(crate) fn naive_attend_range(
-    q: &Tensor,
-    kv: &KvSource<'_>,
-    params: &AttentionParams,
-    q_pos: &[usize],
-    pos_chunk: &[usize],
-    start: usize,
-) -> Result<AttentionOutput, AttentionError> {
-    let shape = &params.shape;
-    let t_q = shape.check_q(q)?;
-    check_positions("q_pos", t_q, q_pos)?;
-
-    let (n_heads, dh) = (shape.n_heads(), shape.head_dim());
-    let q_row = n_heads * dh;
-    let mut out = Tensor::zeros(&[t_q, n_heads, dh]);
-    let mut lse = Tensor::full(&[t_q, n_heads], f32::NEG_INFINITY);
-    let mut scores = vec![0.0f32; pos_chunk.len()];
-    let mut head_buf = vec![0.0f32; dh];
-
-    for (((qrow, orow), lse_row), &qpi) in q
-        .as_slice()
-        .chunks_exact(q_row)
-        .zip(out.as_mut_slice().chunks_exact_mut(q_row))
-        .zip(lse.as_mut_slice().chunks_exact_mut(n_heads))
-        .zip(q_pos)
-    {
-        for (h, ((qvec, ohead), lse_slot)) in qrow
-            .chunks_exact(dh)
-            .zip(orow.chunks_exact_mut(dh))
-            .zip(lse_row.iter_mut())
-            .enumerate()
-        {
-            let kvh = shape.kv_head_for(h);
-            for (j, (score, &kvp)) in scores.iter_mut().zip(pos_chunk).enumerate() {
-                *score = match kv.k_head(start + j, kvh, dh, &mut head_buf) {
-                    Some(kvec) if kvp != PAD && kvp <= qpi => {
-                        let dot: f32 = qvec.iter().zip(kvec).map(|(a, b)| a * b).sum();
-                        dot * params.scale
-                    }
-                    _ => f32::NEG_INFINITY,
-                };
-            }
-            let row_lse = softmax_row_in_place(&mut scores);
-            if row_lse == f32::NEG_INFINITY {
-                continue; // fully masked query: zero output, -inf LSE
-            }
-            *lse_slot = row_lse;
-            for (j, &w) in scores.iter().enumerate() {
-                if w == 0.0 {
-                    continue;
-                }
-                if let Some(vvec) = kv.v_head(start + j, kvh, dh, &mut head_buf) {
-                    for (o, &x) in ohead.iter_mut().zip(vvec) {
-                        *o += w * x;
-                    }
                 }
             }
         }

@@ -9,18 +9,19 @@
 //! sees the same rows in the same order with the same f32 operations.
 //!
 //! The `QuantPaged` variant extends this to INT8 pages: the kernel
-//! dequantizes one `(token, head)` vector at a time into a caller-owned
-//! scratch buffer (`code as f32 * scale`, exactly the storage layer's
-//! `dequantize`), so attending a quantized source is **bit-identical** to
-//! attending the dequantized tensors — the only error versus f32 storage is
-//! the quantization error itself, bounded by `max(scale) / 2` per element.
+//! dequantizes one `(token, head)` vector at a time while it packs a KV
+//! block into its panels (`code as f32 * scale`, exactly the storage
+//! layer's `dequantize`), so attending a quantized source is
+//! **bit-identical** to attending the dequantized tensors — the only error
+//! versus f32 storage is the quantization error itself, bounded by
+//! `max(scale) / 2` per element.
 
+use cp_tensor::tile::NR;
 use cp_tensor::Tensor;
 
 use crate::AttentionError;
 
-/// Borrowed KV rows consumed by [`crate::blocked_gqa_attention_source`] and
-/// [`crate::flash_decode_source`].
+/// Borrowed KV rows consumed by [`crate::blocked_gqa_attention_source`].
 ///
 /// Rows are `[n_kv_heads * head_dim]` slices indexed by token. The
 /// `Contiguous` variant wraps the classic `[t, n_kv_heads, head_dim]`
@@ -29,8 +30,9 @@ use crate::AttentionError;
 /// `i % page_size`. Every page is full except possibly the last, which is
 /// trimmed to the tokens it actually holds. The `QuantPaged` variant holds
 /// the same page layout as INT8 codes plus per-(token, head) scales; its
-/// rows are materialized per head through [`KvSource::k_head`] /
-/// [`KvSource::v_head`] into a reused scratch, never as a full f32 copy.
+/// rows are dequantized per head into the kernel's block panels (or, through
+/// [`KvSource::k_head`] / [`KvSource::v_head`], a caller's scratch), never
+/// as a full f32 copy.
 #[derive(Debug, Clone)]
 pub struct KvSource<'a> {
     inner: Inner<'a>,
@@ -65,7 +67,7 @@ impl<'a> KvSource<'a> {
     /// Wraps contiguous `[t, n_kv_heads, head_dim]` K/V tensors.
     ///
     /// Shape validation happens in the consuming kernel (via
-    /// [`KvSource::check`]), exactly as for the tensor entry points.
+    /// `KvSource::check`), exactly as for the tensor entry points.
     pub fn contiguous(k: &'a Tensor, v: &'a Tensor) -> Self {
         KvSource {
             inner: Inner::Contiguous { k, v },
@@ -298,12 +300,9 @@ impl<'a> KvSource<'a> {
     /// out of bounds.
     ///
     /// For f32 storage this is the direct subslice (zero-copy, identical to
-    /// `k_row(i)` + head slicing — the kernels' historical lookup). For
-    /// quantized storage the head vector is dequantized into `scratch`
-    /// (`code as f32 * scale`) and returned from there; `scratch` must hold
-    /// at least `head_dim` elements. This is the kernels' single row
-    /// accessor, which is what keeps the quantized path free of any
-    /// materialized f32 cache copy.
+    /// `k_row(i)` + head slicing). For quantized storage the head vector is
+    /// dequantized into `scratch` (`code as f32 * scale`) and returned from
+    /// there; `scratch` must hold at least `head_dim` elements.
     #[inline]
     pub fn k_head<'s>(
         &'s self,
@@ -312,20 +311,7 @@ impl<'a> KvSource<'a> {
         dh: usize,
         scratch: &'s mut [f32],
     ) -> Option<&'s [f32]> {
-        match &self.inner {
-            Inner::QuantPaged {
-                k_codes,
-                k_scales,
-                page_size,
-                n_heads,
-                head_dim,
-                tokens,
-                ..
-            } => dequant_head(
-                k_codes, k_scales, *page_size, *n_heads, *head_dim, *tokens, i, kvh, scratch,
-            ),
-            _ => self.k_row(i).and_then(|r| r.get(kvh * dh..(kvh + 1) * dh)),
-        }
+        self.head(Side::K, i, kvh, dh)?.into_f32(scratch)
     }
 
     /// KV head `kvh` of V row `i`; the V-side analogue of
@@ -338,20 +324,76 @@ impl<'a> KvSource<'a> {
         dh: usize,
         scratch: &'s mut [f32],
     ) -> Option<&'s [f32]> {
-        match &self.inner {
-            Inner::QuantPaged {
-                v_codes,
-                v_scales,
-                page_size,
-                n_heads,
-                head_dim,
-                tokens,
-                ..
-            } => dequant_head(
-                v_codes, v_scales, *page_size, *n_heads, *head_dim, *tokens, i, kvh, scratch,
-            ),
-            _ => self.v_row(i).and_then(|r| r.get(kvh * dh..(kvh + 1) * dh)),
+        self.head(Side::V, i, kvh, dh)?.into_f32(scratch)
+    }
+
+    /// Packs KV head `kvh` of K rows `start .. start + keys` into
+    /// [`NR`]-wide panels, k-major: key `j` of the block lands in panel
+    /// `j / NR`, lane `j % NR`, element `d` at `panel[d * NR + lane]`.
+    /// Lanes past `keys` in the last panel keep whatever `panels` held;
+    /// the kernel discards their dot products.
+    pub(crate) fn pack_k(
+        &self,
+        start: usize,
+        keys: usize,
+        kvh: usize,
+        dh: usize,
+        panels: &mut [f32],
+    ) {
+        let mut rows = start..start + keys;
+        for panel in panels.chunks_exact_mut(dh * NR) {
+            for (lane, i) in rows.by_ref().take(NR).enumerate() {
+                if let Some(head) = self.head(Side::K, i, kvh, dh) {
+                    head.write_to(panel.iter_mut().skip(lane).step_by(NR));
+                }
+            }
         }
+    }
+
+    /// Packs KV head `kvh` of V rows `start .. start + keys` contiguously,
+    /// one `dh`-long row per key.
+    pub(crate) fn pack_v(
+        &self,
+        start: usize,
+        keys: usize,
+        kvh: usize,
+        dh: usize,
+        rows: &mut [f32],
+    ) {
+        for (i, row) in (start..start + keys).zip(rows.chunks_exact_mut(dh)) {
+            if let Some(head) = self.head(Side::V, i, kvh, dh) {
+                head.write_to(row.iter_mut());
+            }
+        }
+    }
+
+    /// KV head `kvh` of row `i` on one side of the cache, as stored.
+    #[inline]
+    fn head(&self, side: Side, i: usize, kvh: usize, dh: usize) -> Option<Head<'a>> {
+        if let Inner::QuantPaged {
+            k_codes,
+            k_scales,
+            v_codes,
+            v_scales,
+            page_size,
+            n_heads,
+            head_dim,
+            tokens,
+        } = &self.inner
+        {
+            let (codes, scales) = match side {
+                Side::K => (k_codes, k_scales),
+                Side::V => (v_codes, v_scales),
+            };
+            return quant_head(
+                codes, scales, *page_size, *n_heads, *head_dim, *tokens, i, kvh,
+            );
+        }
+        let row = match side {
+            Side::K => self.k_row(i),
+            Side::V => self.v_row(i),
+        }?;
+        row.get(kvh * dh..(kvh + 1) * dh).map(Head::F32)
     }
 
     /// Validates this source against a head configuration, mirroring the
@@ -423,38 +465,74 @@ fn page_row<'a>(
         .and_then(|p| p.get(slot * row_numel..(slot + 1) * row_numel))
 }
 
-/// Dequantizes head `h` of token row `i` into `scratch[..head_dim]`:
-/// `code as f32 * scale`, element for element the storage layer's
-/// `dequantize`, so the kernels see exactly the values a materialized
-/// dequantized tensor would hold. Out-of-range lookups fold to `None` (the
-/// kernels treat them as masked).
+/// Which half of the cache a lookup reads.
+#[derive(Clone, Copy)]
+enum Side {
+    K,
+    V,
+}
+
+/// One `(token, KV head)` vector as stored.
+enum Head<'a> {
+    F32(&'a [f32]),
+    Int8 { codes: &'a [i8], scale: f32 },
+}
+
+impl<'a> Head<'a> {
+    /// Writes the vector's f32 values through `dst`: a copy for f32
+    /// storage, `code as f32 * scale` for INT8 — element for element the
+    /// storage layer's `dequantize`, so the kernels see exactly the values
+    /// a materialized dequantized tensor would hold.
+    #[inline]
+    fn write_to<'d>(&self, dst: impl Iterator<Item = &'d mut f32>) {
+        match *self {
+            Head::F32(xs) => dst.zip(xs).for_each(|(d, &x)| *d = x),
+            Head::Int8 { codes, scale } => dst.zip(codes).for_each(|(d, &c)| *d = c as f32 * scale),
+        }
+    }
+
+    /// The vector as an f32 slice: itself for f32 storage, dequantized
+    /// into `scratch` for INT8 (`None` if `scratch` is too short).
+    #[inline]
+    fn into_f32<'s>(self, scratch: &'s mut [f32]) -> Option<&'s [f32]>
+    where
+        'a: 's,
+    {
+        match self {
+            Head::F32(xs) => Some(xs),
+            Head::Int8 { codes, .. } => {
+                let out = scratch.get_mut(..codes.len())?;
+                self.write_to(out.iter_mut());
+                Some(out)
+            }
+        }
+    }
+}
+
+/// Head `h` of token row `i` inside quantized page lists. Out-of-range
+/// lookups fold to `None`.
 #[inline]
 #[allow(clippy::too_many_arguments)] // page geometry + lookup coordinates
-fn dequant_head<'s>(
-    codes: &[&[i8]],
-    scales: &[&[f32]],
+fn quant_head<'a>(
+    codes: &[&'a [i8]],
+    scales: &[&'a [f32]],
     page_size: usize,
     n_heads: usize,
     head_dim: usize,
     tokens: usize,
     i: usize,
     h: usize,
-    scratch: &'s mut [f32],
-) -> Option<&'s [f32]> {
+) -> Option<Head<'a>> {
     if i >= tokens || h >= n_heads {
         return None;
     }
     let slot = i % page_size;
     let row_numel = n_heads * head_dim;
-    let code_page = codes.get(i / page_size)?;
-    let head =
-        code_page.get(slot * row_numel + h * head_dim..slot * row_numel + (h + 1) * head_dim)?;
+    let codes = codes
+        .get(i / page_size)?
+        .get(slot * row_numel + h * head_dim..slot * row_numel + (h + 1) * head_dim)?;
     let &scale = scales.get(i / page_size)?.get(slot * n_heads + h)?;
-    let out = scratch.get_mut(..head_dim)?;
-    for (o, &c) in out.iter_mut().zip(head) {
-        *o = c as f32 * scale;
-    }
-    Some(out)
+    Some(Head::Int8 { codes, scale })
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! ring algorithms rest on.
 
 use cp_attention::{
-    approx_gqa_attention, blocked_gqa_attention, blocked_gqa_attention_with_threads, flash_decode,
+    approx_gqa_attention, blocked_gqa_attention, blocked_gqa_attention_with_threads,
     merge_partials, naive_gqa_attention, ApproxPolicy, AttentionParams, GqaShape,
 };
 use cp_tensor::{DetRng, Tensor};
@@ -141,23 +141,6 @@ proptest! {
         }
         let merged = merge_partials(partials.iter()).unwrap();
         prop_assert!(merged.out.approx_eq(&full.out, 1e-3).unwrap());
-    }
-
-    /// flash_decode equals unsplit attention for any number of splits.
-    #[test]
-    fn flash_decode_equals_full(
-        (nh, nkv, dh) in gqa_config(),
-        t_kv in 1usize..30,
-        splits in 1usize..12,
-        seed in any::<u64>(),
-    ) {
-        let params = AttentionParams::for_shape(GqaShape::new(nh, nkv, dh).unwrap());
-        let (q, k, v) = make_inputs(seed, 1, t_kv, nh, nkv, dh);
-        let kv_pos: Vec<usize> = (0..t_kv).collect();
-        let q_pos = [t_kv]; // decode token after the whole history
-        let split = flash_decode(&q, &k, &v, &params, &q_pos, &kv_pos, splits).unwrap();
-        let full = naive_gqa_attention(&q, &k, &v, &params, &q_pos, &kv_pos).unwrap();
-        prop_assert!(split.out.approx_eq(&full.out, 1e-3).unwrap());
     }
 
     /// Merge attention is invariant to the order of partials.

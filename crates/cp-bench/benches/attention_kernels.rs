@@ -1,13 +1,12 @@
 //! Kernel-level benches: the naive reference vs the flash-style blocked
-//! kernel vs split-KV flash-decode, and merge attention — the building
+//! kernel (prefill and decode shapes), and merge attention — the building
 //! blocks behind Tables 3 and 5.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use cp_attention::{
-    blocked_gqa_attention, flash_decode, merge_partials, naive_gqa_attention, AttentionParams,
-    GqaShape,
+    blocked_gqa_attention, merge_partials, naive_gqa_attention, AttentionParams, GqaShape,
 };
 use cp_tensor::{DetRng, Tensor};
 
@@ -44,19 +43,15 @@ fn bench_prefill_kernels(c: &mut Criterion) {
 }
 
 fn bench_decode_kernels(c: &mut Criterion) {
-    // One query against a long KV history (the decode regime): flash
-    // decode's split count sweep (the paper uses 256 splits).
+    // One query against a long KV history (the decode regime), through
+    // the kernel the decode ring calls.
     let p = params();
     let (q, k, v, q_pos, kv_pos) = inputs(1, 4096, 2);
     let mut group = c.benchmark_group("decode_kernel_1x4096");
     group.sample_size(10);
-    for splits in [1usize, 16, 256] {
-        group.bench_with_input(
-            BenchmarkId::new("flash_decode", splits),
-            &splits,
-            |b, &s| b.iter(|| black_box(flash_decode(&q, &k, &v, &p, &q_pos, &kv_pos, s).unwrap())),
-        );
-    }
+    group.bench_function("blocked/128", |b| {
+        b.iter(|| black_box(blocked_gqa_attention(&q, &k, &v, &p, &q_pos, &kv_pos, 128).unwrap()))
+    });
     group.finish();
 }
 

@@ -10,7 +10,7 @@
 //! per generated token. The seed engines materialized that cache with
 //! `PagedKvCache::gather` — an O(context) copy per (step, rank) — before
 //! every ring pass-Q decode. This harness pits that path against the
-//! zero-copy [`KvView`] path on the same caches and the same ring
+//! zero-copy [`cp_kvcache::KvView`] path on the same caches and the same ring
 //! schedule, at contexts up to 256K tokens and CP in {1, 2, 4}:
 //!
 //! * caches are built directly with O(T) chunked appends (no O(T^2)

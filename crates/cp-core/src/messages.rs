@@ -173,7 +173,7 @@ impl QuantSeqKv {
         self.k.tokens()
     }
 
-    /// Splits at the token midpoint ([`split_point`]) for the
+    /// Splits at the token midpoint (`split_point`) for the
     /// bidirectional ring's half-payload hops. Codes and scales are copied
     /// verbatim ([`QuantizedKv::split_at`]), so [`QuantSeqKv::join_halves`]
     /// round-trips **exactly** — the halves carry the same bits the

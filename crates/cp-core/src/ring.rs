@@ -46,8 +46,8 @@ type Comm = Communicator<RingMsg>;
 const ATTN_BLOCK: usize = 128;
 
 /// The KV block size ring attention uses over paged storage with pages of
-/// `page_size` tokens: [`ATTN_BLOCK`] rounded up to a whole number of pages,
-/// so every online-softmax block walks complete pages. The blocked kernel's
+/// `page_size` tokens: `ATTN_BLOCK` (128) rounded up to a whole number of
+/// pages, so every online-softmax block walks complete pages. The blocked kernel's
 /// arithmetic depends only on block boundaries (never on storage layout), so
 /// owned tensors attended with this same value are bit-identical to the
 /// view path.
@@ -86,7 +86,7 @@ pub enum RankKv<'a> {
 }
 
 impl From<SeqKv> for RankKv<'static> {
-    /// Owned tensors attended with the default [`ATTN_BLOCK`].
+    /// Owned tensors attended with the default `ATTN_BLOCK` (128).
     fn from(kv: SeqKv) -> Self {
         RankKv::Owned {
             kv,

@@ -421,7 +421,7 @@ impl QuantKvCache {
     /// `[t, n_kv_heads, head_dim]`) with their global positions.
     ///
     /// Each `(token, head)` vector is quantized **directly into its
-    /// reserved page slot** ([`quantize_head_into`], the same arithmetic as
+    /// reserved page slot** (`quantize_head_into`, the same arithmetic as
     /// [`QuantizedKv::quantize`]) — no contiguous [`QuantizedKv`] staging
     /// buffer is built and copied, which used to double-write every
     /// appended byte.

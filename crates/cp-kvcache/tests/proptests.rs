@@ -3,9 +3,7 @@
 //! zero-copy [`cp_kvcache::KvView`] hot path feeds the attention kernels
 //! bit-identically to a gathered copy.
 
-use cp_attention::{
-    blocked_gqa_attention_source, flash_decode_source, AttentionParams, GqaShape, KvSource,
-};
+use cp_attention::{blocked_gqa_attention_source, AttentionParams, GqaShape, KvSource};
 use cp_kvcache::{KvCacheConfig, PagedKvCache, QuantKvCache, QuantizedKv, SeqId};
 use cp_pool::ComputePool;
 use cp_tensor::{DetRng, Tensor};
@@ -138,14 +136,13 @@ proptest! {
     /// attention over the gathered contiguous copy, across ragged page
     /// boundaries (`page_size` not dividing the token count), arbitrary
     /// multi-turn append batching, arbitrary block sizes (page-aligned or
-    /// not), and pages freed and reused by another sequence — the blocked
-    /// prefill kernel and the split-KV decode kernel both.
+    /// not), and pages freed and reused by another sequence — at the
+    /// prefill shape and at the decode shape (one query) both.
     #[test]
     fn view_attention_bit_identical_to_gather(
         page_size in 1usize..7,
         chunks in prop::collection::vec(1usize..9, 1..6),
         block_size in 1usize..20,
-        n_splits in 1usize..5,
         seed in any::<u64>(),
     ) {
         let shape = GqaShape::new(4, 2, 4).unwrap();
@@ -189,13 +186,13 @@ proptest! {
         prop_assert_eq!(gathered.out.as_slice(), viewed.out.as_slice());
         prop_assert_eq!(gathered.lse.as_slice(), viewed.lse.as_slice());
 
-        // Split-KV decode kernel: one query token at the next position.
+        // Decode shape: one query token at the next position.
         let dq = rng.tensor(&[1, 4, 4]);
-        let dg = flash_decode_source(
-            &dq, &KvSource::contiguous(&gk, &gv), &params, &[total], &gpos, n_splits,
+        let dg = blocked_gqa_attention_source(
+            &pool, &dq, &KvSource::contiguous(&gk, &gv), &params, &[total], &gpos, block_size,
         ).unwrap();
-        let dv = flash_decode_source(
-            &dq, &view.source(), &params, &[total], &gpos, n_splits,
+        let dv = blocked_gqa_attention_source(
+            &pool, &dq, &view.source(), &params, &[total], &gpos, block_size,
         ).unwrap();
         prop_assert_eq!(dg.out.as_slice(), dv.out.as_slice());
         prop_assert_eq!(dg.lse.as_slice(), dv.lse.as_slice());
@@ -290,13 +287,12 @@ proptest! {
     /// within quantization tolerance of the exact f32 attention — across
     /// ragged page boundaries (`page_size` not dividing the token count),
     /// multi-turn append batching, freed-and-reused pages, arbitrary block
-    /// sizes, and both the blocked prefill and split-KV decode kernels.
+    /// sizes, and both the prefill and the decode (one query) shape.
     #[test]
     fn quant_paged_attention_bitwise_vs_dequantized_and_close_to_f32(
         page_size in 1usize..7,
         chunks in prop::collection::vec(1usize..9, 1..6),
         block_size in 1usize..20,
-        n_splits in 1usize..5,
         seed in any::<u64>(),
     ) {
         let shape = GqaShape::new(4, 2, 4).unwrap();
@@ -351,18 +347,18 @@ proptest! {
         ).unwrap();
         prop_assert!(exact.out.max_abs_diff(&quant.out).unwrap() < tol);
 
-        // Split-KV decode kernel: one query token at the next position.
+        // Decode shape: one query token at the next position.
         let dq = rng.tensor(&[1, 4, 4]);
-        let dd = flash_decode_source(
-            &dq, &KvSource::contiguous(&dqk, &dqv), &params, &[total], &gpos, n_splits,
+        let dd = blocked_gqa_attention_source(
+            &pool, &dq, &KvSource::contiguous(&dqk, &dqv), &params, &[total], &gpos, block_size,
         ).unwrap();
-        let dv2 = flash_decode_source(
-            &dq, &view.source(), &params, &[total], &gpos, n_splits,
+        let dv2 = blocked_gqa_attention_source(
+            &pool, &dq, &view.source(), &params, &[total], &gpos, block_size,
         ).unwrap();
         prop_assert_eq!(dd.out.as_slice(), dv2.out.as_slice());
         prop_assert_eq!(dd.lse.as_slice(), dv2.lse.as_slice());
-        let de = flash_decode_source(
-            &dq, &KvSource::contiguous(&fk, &fv), &params, &[total], &gpos, n_splits,
+        let de = blocked_gqa_attention_source(
+            &pool, &dq, &KvSource::contiguous(&fk, &fv), &params, &[total], &gpos, block_size,
         ).unwrap();
         prop_assert!(de.out.max_abs_diff(&dv2.out).unwrap() < tol);
     }

@@ -151,7 +151,7 @@ fn forward_body(
 }
 
 /// Declares the full-stack forward schedule: the per-layer ring plan (built
-/// from zero-tensor skeletons with exactly the geometry [`forward_body`]
+/// from zero-tensor skeletons with exactly the geometry `forward_body`
 /// puts on the wire, including §3.5.2 padding) stacked `n_layers` times.
 /// Plans depend only on shapes, never values.
 ///

@@ -401,7 +401,7 @@ impl TransformerEngine {
     }
 
     /// Enables (or disables) live schedule validation: every subsequent
-    /// prefill and decode builds its declared [`CommPlan`] from the
+    /// prefill and decode builds its declared [`cp_comm::CommPlan`] from the
     /// production schedule builders and runs under a `CheckedFabric`, so
     /// any drift between declared and actual traffic fails the turn
     /// instead of silently mismeasuring. Debug aid — adds plan-building

@@ -83,6 +83,10 @@ struct Session {
     seq: SeqId,
     request: u64,
     arrival_tick: u64,
+    /// Wall-clock instant the request first became eligible
+    /// (`arrival_tick <= tick`); like `arrival_tick` it survives
+    /// eviction, so a restart does not reset the request's TTFT clock.
+    arrived_at: Instant,
     conversation: Conversation,
     turn_idx: usize,
     /// Tokens of the conversation consumed so far (prompt + response),
@@ -99,6 +103,8 @@ struct Session {
     last_token_at: Option<Instant>,
     /// Per-turn tick of the prefill's start, for TTFT accounting.
     turn_started_tick: u64,
+    /// Wall-clock instant of the same.
+    turn_started_at: Instant,
     /// How many times this session was evicted and restarted.
     restarts: u32,
     /// Final activations of every emitted response token, in emission
@@ -139,7 +145,9 @@ pub struct ServeMetrics {
     /// Ticks from a request's arrival to its first turn's first response
     /// token, one sample per served turn.
     pub ttft_ticks: Vec<u64>,
-    /// Wall-clock seconds for the same samples.
+    /// Wall-clock seconds for the same samples: from the instant the
+    /// request became eligible (first turn) or the turn started (later
+    /// turns) to the first response token.
     pub ttft_seconds: Vec<f64>,
     /// Ticks between consecutive response tokens of a turn.
     pub tbt_ticks: Vec<u64>,
@@ -194,7 +202,6 @@ pub struct Scheduler {
     live: Vec<Session>,
     next_seq: u64,
     tick: u64,
-    started: Instant,
     metrics: ServeMetrics,
     /// Outputs of completed conversations, keyed by request id.
     completed: Vec<(u64, Vec<Tensor>)>,
@@ -204,6 +211,9 @@ pub struct Scheduler {
 struct QueuedRequest {
     request: u64,
     arrival_tick: u64,
+    /// Set by the first tick that finds the request eligible, admitted
+    /// or not: queueing behind the live-session cap counts towards TTFT.
+    eligible_at: Option<Instant>,
     conversation: Conversation,
     restarts: u32,
 }
@@ -218,7 +228,6 @@ impl Scheduler {
             live: Vec::new(),
             next_seq: 1,
             tick: 0,
-            started: Instant::now(),
             metrics: ServeMetrics::default(),
             completed: Vec::new(),
         }
@@ -233,6 +242,7 @@ impl Scheduler {
         self.queue.push_back(QueuedRequest {
             request,
             arrival_tick,
+            eligible_at: None,
             conversation,
             restarts: 0,
         });
@@ -322,6 +332,13 @@ impl Scheduler {
     /// Admits queued requests whose arrival tick has come, while below
     /// the live-session cap.
     fn admit(&mut self) -> Result<usize, ServeError> {
+        let now = Instant::now();
+        let tick = self.tick;
+        // The queue is in arrival order (evicted requests, already
+        // stamped, sit at its head), so the eligible ones are a prefix.
+        for r in self.queue.iter_mut().take_while(|r| r.arrival_tick <= tick) {
+            r.eligible_at.get_or_insert(now);
+        }
         let mut admitted = 0;
         while self.live.len() < self.config.max_live_sessions {
             let ready = self
@@ -341,6 +358,7 @@ impl Scheduler {
                 seq,
                 request: r.request,
                 arrival_tick: r.arrival_tick,
+                arrived_at: r.eligible_at.unwrap_or(now),
                 conversation: r.conversation,
                 turn_idx: 0,
                 consumed: 0,
@@ -349,6 +367,7 @@ impl Scheduler {
                 last_token_tick: None,
                 last_token_at: None,
                 turn_started_tick: self.tick,
+                turn_started_at: now,
                 restarts: r.restarts,
                 outputs: Vec::new(),
             });
@@ -377,6 +396,7 @@ impl Scheduler {
             let open = self.engine.begin_prefill(seq, &prompt, None)?;
             let s = &mut self.live[i];
             s.turn_started_tick = self.tick;
+            s.turn_started_at = Instant::now();
             s.phase = Phase::Prefill(Box::new(open));
         }
         Ok(())
@@ -511,12 +531,10 @@ impl Scheduler {
     /// Records one decoded token for session `i`.
     fn record_token(&mut self, i: usize, activations: Tensor, now: Instant) {
         let tick = self.tick;
-        let started = self.started;
         let metrics = &mut self.metrics;
         let Some(s) = self.live.get_mut(i) else {
             return;
         };
-        let seconds_now = now.duration_since(started).as_secs_f64();
         match (s.last_token_tick, s.last_token_at) {
             (Some(prev_tick), Some(prev_at)) => {
                 metrics.tbt_ticks.push(tick - prev_tick);
@@ -528,13 +546,15 @@ impl Scheduler {
                 // First token of the turn. TTFT of the conversation's
                 // first turn counts from arrival; later turns from the
                 // turn's start.
-                let from = if s.turn_idx == 0 {
-                    s.arrival_tick
+                let (from_tick, from_at) = if s.turn_idx == 0 {
+                    (s.arrival_tick, s.arrived_at)
                 } else {
-                    s.turn_started_tick
+                    (s.turn_started_tick, s.turn_started_at)
                 };
-                metrics.ttft_ticks.push(tick.saturating_sub(from));
-                metrics.ttft_seconds.push(seconds_now);
+                metrics.ttft_ticks.push(tick.saturating_sub(from_tick));
+                metrics
+                    .ttft_seconds
+                    .push(now.duration_since(from_at).as_secs_f64());
             }
         }
         s.last_token_tick = Some(tick);
@@ -588,6 +608,7 @@ impl Scheduler {
         self.queue.push_front(QueuedRequest {
             request: victim.request,
             arrival_tick: victim.arrival_tick,
+            eligible_at: Some(victim.arrived_at),
             conversation: victim.conversation,
             restarts: victim.restarts + 1,
         });
@@ -666,6 +687,29 @@ mod tests {
         assert_eq!(outs, vec![(0, 5), (1, 2)]);
         // All sessions were freed.
         assert!(sched.engine().sessions().is_empty());
+    }
+
+    #[test]
+    fn ttft_seconds_count_from_eligibility_not_from_construction() {
+        // Two identical requests, the second arriving long after the
+        // first finished: their wall-clock TTFTs are the same work, so
+        // the idle gap between them must not show in the second's.
+        let gap = std::time::Duration::from_millis(300);
+        let mut sched = Scheduler::new(engine(1), SchedConfig::default());
+        sched.submit(0, 0.0, conv(&[(4, 2)]));
+        sched.submit(1, 40.0, conv(&[(4, 2)]));
+        while sched.metrics().completed < 1 {
+            sched.tick().unwrap();
+        }
+        std::thread::sleep(gap);
+        sched.run_to_completion(200).unwrap();
+        let m = sched.metrics();
+        assert_eq!(m.ttft_ticks, vec![m.ttft_ticks[0]; 2]);
+        let (first, second) = (m.ttft_seconds[0], m.ttft_seconds[1]);
+        assert!(
+            second < first + gap.as_secs_f64() / 2.0,
+            "second request's TTFT {second} s carries the idle gap (first: {first} s)"
+        );
     }
 
     #[test]

@@ -35,6 +35,7 @@ mod gemm;
 mod ops;
 mod rng;
 mod tensor;
+pub mod tile;
 
 pub use error::TensorError;
 pub use gemm::{gemm_wants_parallel, matmul_on, matmul_packed, matmul_packed_on, PackedGemmB};

@@ -1,6 +1,6 @@
 //! Offline stand-in for the `proptest` crate.
 //!
-//! Implements the subset the workspace's property tests use: the [`Strategy`]
+//! Implements the subset the workspace's property tests use: the [`strategy::Strategy`]
 //! trait (ranges, tuples, `Just`, `prop_map`, `prop_oneof!`,
 //! `prop::collection::vec`, `any::<T>()`) and the `proptest!` /
 //! `prop_assert!` / `prop_assert_eq!` macros. Unlike real proptest there is
@@ -290,7 +290,7 @@ pub mod collection {
     use super::test_runner::TestRng;
     use std::ops::Range;
 
-    /// Lengths accepted by [`vec`]: a fixed size or a `Range<usize>`.
+    /// Lengths accepted by [`vec()`]: a fixed size or a `Range<usize>`.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
