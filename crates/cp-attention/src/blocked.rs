@@ -93,9 +93,11 @@ pub fn blocked_gqa_attention_on(
 /// [`blocked_gqa_attention_on`] over a [`KvSource`] — contiguous tensors or
 /// a paged KV cache view — with zero materialization.
 ///
-/// The kernel packs each KV block out of the source row by row (INT8 pages
-/// are dequantized in that step); for the same `block_size` every storage
-/// layout feeds it the same values in the same order, so results are
+/// The kernel packs each KV block out of the source: paged sources are
+/// already in its layout ([`crate::PageLayout`]), so that is a run of
+/// copies (INT8 pages are dequantized in the same step). For the same
+/// `block_size` every storage layout feeds it the same values in the same
+/// order, so results are
 /// **bit-identical** across layouts (property-tested here and in
 /// cp-kvcache). Paged callers should pick a `block_size` that is a multiple
 /// of the page size so online-softmax blocks coincide with whole pages.
@@ -517,7 +519,7 @@ impl Call<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{naive_gqa_attention, GqaShape};
+    use crate::{naive_gqa_attention, GqaShape, PageLayout};
     use cp_tensor::DetRng;
     use proptest::prelude::*;
 
@@ -667,9 +669,31 @@ mod tests {
         (codes, scales, deq)
     }
 
-    /// `flat` (`per_row` elements per token) cut into pages of `ps` tokens.
-    fn pages<T>(flat: &[T], per_row: usize, ps: usize) -> Vec<&[T]> {
-        flat.chunks(ps * per_row).collect()
+    /// Token-major K/V (`[t, nkv, dh]` values or codes) and their
+    /// per-(token, head) scales written into kernel-layout pages of `ps`
+    /// tokens.
+    struct PagedKv<T> {
+        k: Vec<Vec<T>>,
+        v: Vec<Vec<T>>,
+        k_scales: Vec<Vec<f32>>,
+        v_scales: Vec<Vec<f32>>,
+    }
+
+    impl<T: Copy + Default> PagedKv<T> {
+        fn new(layout: &PageLayout, k: &[T], v: &[T], scales: [&[f32]; 2]) -> Self {
+            let (rn, pl) = (layout.row_len(), layout.page_len());
+            let (nkv, sl) = (layout.n_kv_heads(), layout.scales_len());
+            PagedKv {
+                k: layout.paginate(k, rn, pl, PageLayout::write_k),
+                v: layout.paginate(v, rn, pl, PageLayout::write_v),
+                k_scales: layout.paginate(scales[0], nkv, sl, PageLayout::write_scales),
+                v_scales: layout.paginate(scales[1], nkv, sl, PageLayout::write_scales),
+            }
+        }
+    }
+
+    fn refs<T>(pages: &[Vec<T>]) -> Vec<&[T]> {
+        pages.iter().map(Vec::as_slice).collect()
     }
 
     /// The position layouts the ring hands the kernel.
@@ -753,11 +777,13 @@ mod tests {
             prop_assert_eq!(bits(&contiguous.lse), bits(&want.lse));
 
             let pool = ComputePool::new(threads.min(3));
-            let rn = nkv * dh;
-            let (kp, vp) = (pages(k.as_slice(), rn, page_size), pages(v.as_slice(), rn, page_size));
-            let paged = KvSource::paged(&kp, &vp, page_size, rn, t_k).unwrap();
-            let (kcp, vcp) = (pages(&kc, rn, page_size), pages(&vc, rn, page_size));
-            let (ksp, vsp) = (pages(&ks, nkv, page_size), pages(&vs, nkv, page_size));
+            let layout = PageLayout::new(page_size, nkv, dh).unwrap();
+            let f = PagedKv::new(&layout, k.as_slice(), v.as_slice(), [&[], &[]]);
+            let (kp, vp) = (refs(&f.k), refs(&f.v));
+            let paged = KvSource::paged(&kp, &vp, page_size, nkv, dh, t_k).unwrap();
+            let c = PagedKv::new(&layout, &kc, &vc, [&ks, &vs]);
+            let (kcp, vcp) = (refs(&c.k), refs(&c.v));
+            let (ksp, vsp) = (refs(&c.k_scales), refs(&c.v_scales));
             let quant =
                 KvSource::quant_paged(&kcp, &ksp, &vcp, &vsp, page_size, nkv, dh, t_k).unwrap();
             for src in [&paged, &quant] {
@@ -1008,9 +1034,10 @@ mod tests {
         // (code * scale, same arithmetic), paged three tokens at a time.
         let (kc, ks, kd) = quantize(&k, dh);
         let (vc, vs, vd) = quantize(&v, dh);
-        let rn = nkv * dh;
-        let (kcp, vcp) = (pages(&kc, rn, ps), pages(&vc, rn, ps));
-        let (ksp, vsp) = (pages(&ks, nkv, ps), pages(&vs, nkv, ps));
+        let layout = PageLayout::new(ps, nkv, dh).unwrap();
+        let c = PagedKv::new(&layout, &kc, &vc, [&ks, &vs]);
+        let (kcp, vcp) = (refs(&c.k), refs(&c.v));
+        let (ksp, vsp) = (refs(&c.k_scales), refs(&c.v_scales));
         let src = KvSource::quant_paged(&kcp, &ksp, &vcp, &vsp, ps, nkv, dh, t_kv).unwrap();
 
         let pool = cp_pool::ComputePool::global();

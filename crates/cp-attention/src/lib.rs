@@ -55,7 +55,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod approx;
 mod blocked;
 mod error;
 mod naive;
@@ -63,7 +62,6 @@ mod output;
 mod shape;
 mod source;
 
-pub use approx::{approx_gqa_attention, ApproxPolicy};
 pub use blocked::{
     blocked_gqa_attention, blocked_gqa_attention_on, blocked_gqa_attention_source,
     blocked_gqa_attention_with_threads,
@@ -72,7 +70,7 @@ pub use error::AttentionError;
 pub use naive::naive_gqa_attention;
 pub use output::{merge_partials, AttentionOutput};
 pub use shape::{AttentionParams, GqaShape};
-pub use source::KvSource;
+pub use source::{KvSource, PageLayout};
 
 /// Sentinel position marking a padded KV slot; padded slots are masked out of
 /// every attention computation.

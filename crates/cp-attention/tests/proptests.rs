@@ -2,8 +2,8 @@
 //! ring algorithms rest on.
 
 use cp_attention::{
-    approx_gqa_attention, blocked_gqa_attention, blocked_gqa_attention_with_threads,
-    merge_partials, naive_gqa_attention, ApproxPolicy, AttentionParams, GqaShape,
+    blocked_gqa_attention, blocked_gqa_attention_with_threads, merge_partials, naive_gqa_attention,
+    AttentionParams, GqaShape,
 };
 use cp_tensor::{DetRng, Tensor};
 use proptest::prelude::*;
@@ -220,66 +220,5 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// A window covering the whole sequence makes approximate attention
-    /// exact, for any shape.
-    #[test]
-    fn full_window_approx_is_exact(
-        (nh, nkv, dh) in gqa_config(),
-        t in 1usize..14,
-        seed in any::<u64>(),
-    ) {
-        let params = AttentionParams::for_shape(GqaShape::new(nh, nkv, dh).unwrap());
-        let (q, k, v) = make_inputs(seed, t, t, nh, nkv, dh);
-        let pos: Vec<usize> = (0..t).collect();
-        let exact = naive_gqa_attention(&q, &k, &v, &params, &pos, &pos).unwrap();
-        let approx = approx_gqa_attention(
-            &q, &k, &v, &params, &pos, &pos,
-            ApproxPolicy::Window { window: t },
-        )
-        .unwrap();
-        prop_assert!(approx.out.approx_eq(&exact.out, 1e-4).unwrap());
-        prop_assert!(approx.lse.approx_eq(&exact.lse, 1e-4).unwrap());
-    }
-
-    /// The sink-window policy's visible set contains the pure window's,
-    /// so its LSE is pointwise >= the window policy's (more softmax mass).
-    #[test]
-    fn sink_lse_dominates_window_lse(
-        t in 2usize..16,
-        window in 1usize..6,
-        sinks in 1usize..4,
-        seed in any::<u64>(),
-    ) {
-        let params = AttentionParams::for_shape(GqaShape::new(2, 1, 4).unwrap());
-        let (q, k, v) = make_inputs(seed, t, t, 2, 1, 4);
-        let pos: Vec<usize> = (0..t).collect();
-        let w = approx_gqa_attention(
-            &q, &k, &v, &params, &pos, &pos,
-            ApproxPolicy::Window { window },
-        )
-        .unwrap();
-        let sw = approx_gqa_attention(
-            &q, &k, &v, &params, &pos, &pos,
-            ApproxPolicy::SinkWindow { sinks, window },
-        )
-        .unwrap();
-        for (a, b) in sw.lse.as_slice().iter().zip(w.lse.as_slice()) {
-            prop_assert!(a >= b || (a - b).abs() < 1e-5, "{a} < {b}");
-        }
-    }
-
-    /// visible_count never exceeds the causal bound p + 1 and is monotone
-    /// in the window size.
-    #[test]
-    fn visible_count_bounds(p in 0usize..200, w1 in 1usize..50, extra in 0usize..50, sinks in 0usize..10) {
-        let small = ApproxPolicy::Window { window: w1 };
-        let big = ApproxPolicy::Window { window: w1 + extra };
-        prop_assert!(small.visible_count(p) <= big.visible_count(p));
-        prop_assert!(big.visible_count(p) <= p + 1);
-        let sw = ApproxPolicy::SinkWindow { sinks, window: w1 };
-        prop_assert!(sw.visible_count(p) <= p + 1);
-        prop_assert!(sw.visible_count(p) >= small.visible_count(p).min(p + 1));
     }
 }

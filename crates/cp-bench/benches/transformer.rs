@@ -1,12 +1,11 @@
 //! Full-stack benches: the context-parallel transformer forward (every
 //! rank runs all layers; ring attention per layer) vs the single-device
-//! forward, TP attention with KV replication, and the approximate
-//! attention policies' compute/fidelity trade.
+//! forward, and TP attention with KV replication.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use cp_attention::{approx_gqa_attention, ApproxPolicy, AttentionParams, GqaShape};
+use cp_attention::{AttentionParams, GqaShape};
 use cp_model::{cp_forward, tp, Transformer, TransformerConfig};
 use cp_perf::RingVariant;
 use cp_tensor::DetRng;
@@ -69,42 +68,10 @@ fn bench_tp_attention(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_approx_policies(c: &mut Criterion) {
-    let shape = GqaShape::new(4, 2, 16).unwrap();
-    let params = AttentionParams::for_shape(shape);
-    let mut rng = DetRng::new(4);
-    let t = 512;
-    let q = rng.tensor(&[t, 4, 16]);
-    let k = rng.tensor(&[t, 2, 16]);
-    let v = rng.tensor(&[t, 2, 16]);
-    let pos: Vec<usize> = (0..t).collect();
-    let mut group = c.benchmark_group("approx_attention_512tok");
-    group.sample_size(10);
-    for (name, policy) in [
-        ("window_512", ApproxPolicy::Window { window: 512 }),
-        ("window_64", ApproxPolicy::Window { window: 64 }),
-        (
-            "sink4_window_64",
-            ApproxPolicy::SinkWindow {
-                sinks: 4,
-                window: 64,
-            },
-        ),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                black_box(approx_gqa_attention(&q, &k, &v, &params, &pos, &pos, policy).unwrap())
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_cp_forward,
     bench_cp_variants_full_stack,
-    bench_tp_attention,
-    bench_approx_policies
+    bench_tp_attention
 );
 criterion_main!(benches);

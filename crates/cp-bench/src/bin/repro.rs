@@ -8,8 +8,8 @@
 //! ```
 //!
 //! Experiments: table2 table3 table4 table5 table6 table7 table8 table9
-//! fig6a fig6b fig7 fig8 fig9 fig10 mfu capacity disaggregation approx
-//! exactness all
+//! fig6a fig6b fig7 fig8 fig9 fig10 mfu capacity disaggregation
+//! sharding fullstack trace exactness all
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -517,55 +517,6 @@ fn disaggregation(r: &mut Report) {
     );
 }
 
-fn approx(r: &mut Report) {
-    r.section("Beyond exact attention: window / sink approximations vs exact CP (conclusion)");
-    use cp_attention::{approx_gqa_attention, naive_gqa_attention, ApproxPolicy, AttentionParams};
-    let shape = GqaShape::new(8, 2, 16).expect("valid shape");
-    let params = AttentionParams::for_shape(shape);
-    let mut rng = DetRng::new(17);
-    let t = 256;
-    let q = rng.tensor(&[t, 8, 16]);
-    let k = rng.tensor(&[t, 2, 16]);
-    let v = rng.tensor(&[t, 2, 16]);
-    let pos: Vec<usize> = (0..t).collect();
-    let exact = naive_gqa_attention(&q, &k, &v, &params, &pos, &pos).expect("exact");
-    r.line(&format!(
-        "{:>26} | {:>10} {:>12}",
-        "policy", "max |err|", "kv visited"
-    ));
-    let exact_pairs: usize = (0..t).map(|p| p + 1).sum();
-    let mut rows = Vec::new();
-    for (name, policy) in [
-        ("window 128", ApproxPolicy::Window { window: 128 }),
-        ("window 32", ApproxPolicy::Window { window: 32 }),
-        ("window 8", ApproxPolicy::Window { window: 8 }),
-        (
-            "sink 4 + window 32",
-            ApproxPolicy::SinkWindow {
-                sinks: 4,
-                window: 32,
-            },
-        ),
-        (
-            "sink 4 + window 8",
-            ApproxPolicy::SinkWindow {
-                sinks: 4,
-                window: 8,
-            },
-        ),
-    ] {
-        let a = approx_gqa_attention(&q, &k, &v, &params, &pos, &pos, policy).expect("approx");
-        let err = exact.out.max_abs_diff(&a.out).expect("same shape");
-        let visited: usize = (0..t).map(|p| policy.visible_count(p)).sum();
-        let frac = visited as f64 / exact_pairs as f64;
-        r.line(&format!("{name:>26} | {err:>10.4} {:>11.1}%", frac * 100.0));
-        rows.push(serde_json::json!({"policy": name, "max_err": err, "kv_visited_frac": frac}));
-    }
-    r.line("  (exact CP keeps err = 0 at 100% cost; approximations trade error for compute —");
-    r.line("   the paper's conclusion: combine CP with approximate retrieval beyond 1M tokens)");
-    r.record("approx", serde_json::Value::Array(rows));
-}
-
 fn sharding(r: &mut Report) {
     r.section("Sharding strategies: 2N-chunk vs striped vs naive (§3.5.1 ablation)");
     use cp_perf::event::{attn_matrix_from_profile, simulate_ring};
@@ -831,7 +782,6 @@ fn main() {
             "mfu",
             "capacity",
             "disaggregation",
-            "approx",
             "sharding",
             "fullstack",
             "trace",
@@ -861,7 +811,6 @@ fn main() {
             "mfu" => mfu_report(&mut r),
             "capacity" => capacity(&mut r),
             "disaggregation" => disaggregation(&mut r),
-            "approx" => approx(&mut r),
             "sharding" => sharding(&mut r),
             "fullstack" => fullstack(&mut r),
             "trace" => trace(&mut r),

@@ -1033,8 +1033,10 @@ impl Fabric {
     ///
     /// # Errors
     ///
-    /// [`CommError::EmptyGroup`] for a zero-rank group; otherwise the first
-    /// rank error in rank order, or [`CommError::RankPanicked`].
+    /// [`CommError::EmptyGroup`] for a zero-rank group; otherwise the
+    /// root-cause rank error (a plan violation first, then the first error
+    /// that is not a failed send or receive, then rank order), or
+    /// [`CommError::RankPanicked`].
     pub fn run<M, T, F>(&self, f: F) -> Result<(Vec<T>, TrafficReport), CommError>
     where
         M: Wire,
@@ -1099,20 +1101,31 @@ impl Fabric {
                 Ok(Err(e)) => e,
                 Err(rank) => CommError::RankPanicked { rank },
             };
-            // A plan violation is the root cause; peers that then fail with
-            // secondary send/recv errors (the violator exited) must not mask
-            // it. Otherwise the first error in rank order wins.
-            match (&first_err, &err) {
-                (None, _) => first_err = Some(err),
-                (Some(CommError::PlanViolation { .. }), _) => {}
-                (Some(_), CommError::PlanViolation { .. }) => first_err = Some(err),
-                _ => {}
+            // Keep the root cause: a later rank's error replaces the kept
+            // one only if it outranks it, so ties go to rank order.
+            if first_err
+                .as_ref()
+                .is_none_or(|kept| cause_rank(&err) > cause_rank(kept))
+            {
+                first_err = Some(err);
             }
         }
         match first_err {
             Some(e) => Err(e),
             None => Ok((out, stats.report())),
         }
+    }
+}
+
+/// How directly an error names the root cause of a failed run. A plan
+/// violation outranks everything; a failed send or receive is usually the
+/// echo of a peer that already exited with its own error (rank 1's
+/// out-of-pages reaching rank 0 as a closed channel), so it ranks last.
+fn cause_rank(err: &CommError) -> u8 {
+    match err {
+        CommError::PlanViolation { .. } => 2,
+        CommError::SendFailed { .. } | CommError::RecvFailed { .. } => 0,
+        _ => 1,
     }
 }
 
@@ -1216,10 +1229,11 @@ impl CheckedFabric {
 ///
 /// Mirrors launching one process per host in the paper's deployment. The
 /// call joins all threads before returning; a rank returning an error or
-/// panicking fails the whole run (the first error in rank order is
-/// returned). Equivalent to [`Fabric::new`]`(world).run(f)`; use the
-/// builder to override the receive timeout, or [`CheckedFabric`] to
-/// validate traffic against a declared plan.
+/// panicking fails the whole run (the root-cause error is returned, not a
+/// peer's failed receive from the rank that caused it). Equivalent to
+/// [`Fabric::new`]`(world).run(f)`; use the builder to override the
+/// receive timeout, or [`CheckedFabric`] to validate traffic against a
+/// declared plan.
 ///
 /// # Errors
 ///
@@ -1412,6 +1426,26 @@ mod tests {
         })
         .unwrap_err();
         assert!(matches!(err, CommError::RecvFailed { src: 1, .. }));
+    }
+
+    #[test]
+    fn root_cause_error_outranks_a_lower_ranks_echo() {
+        // Rank 1 fails on its own; rank 0, waiting on it, sees only the
+        // closed channel. The run must report rank 1's error.
+        let cause = CommError::RankFailed {
+            rank: 1,
+            kind: "cache",
+            detail: "out of pages".to_string(),
+        };
+        let err = run_ranks::<Vec<f32>, _, _>(2, |comm| {
+            if comm.rank() == 0 {
+                comm.recv(1).map(|_| ())
+            } else {
+                Err(cause.clone())
+            }
+        })
+        .unwrap_err();
+        assert_eq!(err, cause);
     }
 
     #[test]

@@ -25,7 +25,6 @@
 
 use cp_attention::{
     blocked_gqa_attention_on, blocked_gqa_attention_source, AttentionOutput, AttentionParams,
-    KvSource,
 };
 use cp_comm::{Communicator, PendingRecv};
 use cp_kvcache::{KvView, QuantKvView};
@@ -126,37 +125,6 @@ fn attend_rank_kv(
     let block = attn_block_for(page_size);
     Ok(blocked_gqa_attention_source(
         pool, q, &source, params, q_pos, pos, block,
-    )?)
-}
-
-/// Attends one visiting quantized block **in place**: the block's codes
-/// and scales feed the kernel directly as a single-page
-/// [`KvSource::quant_paged`], each head vector dequantized into a reused
-/// scratch inside the kernel — no materialized f32 copy of the payload.
-fn attend_quant(
-    pool: &ComputePool,
-    q: &Tensor,
-    q_pos: &[usize],
-    kv: &QuantSeqKv,
-    params: &AttentionParams,
-) -> Result<AttentionOutput, CoreError> {
-    let tokens = kv.tokens();
-    // A zero-token block has zero pages (not one empty page).
-    let pages = usize::from(tokens > 0);
-    let (k_codes, k_scales) = ([kv.k.codes()], [kv.k.scales()]);
-    let (v_codes, v_scales) = ([kv.v.codes()], [kv.v.scales()]);
-    let src = KvSource::quant_paged(
-        k_codes.get(..pages).unwrap_or_default(),
-        k_scales.get(..pages).unwrap_or_default(),
-        v_codes.get(..pages).unwrap_or_default(),
-        v_scales.get(..pages).unwrap_or_default(),
-        tokens.max(1),
-        kv.k.n_heads(),
-        kv.k.head_dim(),
-        tokens,
-    )?;
-    Ok(blocked_gqa_attention_source(
-        pool, q, &src, params, q_pos, &kv.pos, ATTN_BLOCK,
     )?)
 }
 
@@ -337,7 +305,9 @@ impl KvBlock for QuantSeqKv {
         q_pos: &[usize],
         params: &AttentionParams,
     ) -> Result<AttentionOutput, CoreError> {
-        attend_quant(pool, q, q_pos, self, params)
+        // One `code as f32 * scale` per element, as the kernel's own
+        // dequantizing pack would do, so this is bitwise the same.
+        self.dequantize().attend(pool, q, q_pos, params)
     }
 }
 
@@ -1308,7 +1278,7 @@ pub fn tp_only_decode(
 ///
 /// # Errors
 ///
-/// The body's first error in rank order.
+/// The body's root-cause error (see [`cp_comm::Fabric::run`]).
 pub fn run_ring<T, F>(
     n_ranks: usize,
     body: F,

@@ -1310,7 +1310,7 @@ fn nonzero_world(n: usize) -> Result<usize, CoreError> {
 ///
 /// # Errors
 ///
-/// The body's first error in rank order, or
+/// The body's root-cause error (see [`cp_comm::Fabric::run`]), or
 /// [`cp_comm::CommError::PlanViolation`] (wrapped in
 /// [`CoreError::Comm`]) when live traffic diverges from the plan.
 pub fn run_ring_checked<T, F>(

@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 
+use cp_attention::PageLayout;
 use cp_tensor::Tensor;
 
 use crate::CacheError;
@@ -54,46 +55,35 @@ impl KvCacheConfig {
         self
     }
 
-    /// Elements stored per token row (`n_kv_heads * head_dim`) — the page
-    /// geometry attention kernels need to walk cached K/V in place.
-    pub fn token_numel(&self) -> usize {
-        self.n_kv_heads * self.head_dim
+    /// The format of this cache's pages, shared with the attention
+    /// kernels that read them in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a dimension is zero (only possible for a config built
+    /// field by field rather than through [`KvCacheConfig::new`]).
+    pub(crate) fn layout(&self) -> PageLayout {
+        PageLayout::new(self.page_size, self.n_kv_heads, self.head_dim)
+            .expect("cache dimensions must be positive")
     }
 }
 
-/// One fixed-size page: K, V and position metadata for up to `page_size`
-/// tokens.
+/// One fixed-size page: K and V in [`PageLayout`]'s format, plus the
+/// position of each of its `page_size` token slots.
 #[derive(Debug, Clone)]
 pub(crate) struct Page {
-    k: Vec<f32>,
-    v: Vec<f32>,
-    pos: Vec<usize>,
-    used: usize,
+    pub(crate) k: Vec<f32>,
+    pub(crate) v: Vec<f32>,
+    pub(crate) pos: Vec<usize>,
 }
 
 impl Page {
-    fn new(config: &KvCacheConfig) -> Self {
+    fn new(layout: &PageLayout) -> Self {
         Page {
-            k: vec![0.0; config.page_size * config.token_numel()],
-            v: vec![0.0; config.page_size * config.token_numel()],
-            pos: vec![0; config.page_size],
-            used: 0,
+            k: vec![0.0; layout.page_len()],
+            v: vec![0.0; layout.page_len()],
+            pos: vec![0; layout.page_size()],
         }
-    }
-
-    /// The first `n` elements of the page's K storage.
-    pub(crate) fn k_slice(&self, n: usize) -> &[f32] {
-        &self.k[..n]
-    }
-
-    /// The first `n` elements of the page's V storage.
-    pub(crate) fn v_slice(&self, n: usize) -> &[f32] {
-        &self.v[..n]
-    }
-
-    /// The first `n` token positions stored in the page.
-    pub(crate) fn pos_slice(&self, n: usize) -> &[usize] {
-        &self.pos[..n]
     }
 }
 
@@ -136,6 +126,7 @@ impl CacheStats {
 #[derive(Debug)]
 pub struct PagedKvCache {
     config: KvCacheConfig,
+    layout: PageLayout,
     pool: Vec<Page>,
     free: Vec<usize>,
     seqs: HashMap<u64, SeqState>,
@@ -143,9 +134,14 @@ pub struct PagedKvCache {
 
 impl PagedKvCache {
     /// Creates an empty cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a dimension of `config` is zero.
     pub fn new(config: KvCacheConfig) -> Self {
         PagedKvCache {
             config,
+            layout: config.layout(),
             pool: Vec::new(),
             free: Vec::new(),
             seqs: HashMap::new(),
@@ -207,12 +203,12 @@ impl PagedKvCache {
         ids
     }
 
-    pub(crate) fn seq_state(&self, seq: SeqId) -> Result<(&SeqState, &KvCacheConfig), CacheError> {
+    pub(crate) fn seq_state(&self, seq: SeqId) -> Result<(&SeqState, &PageLayout), CacheError> {
         let state = self
             .seqs
             .get(&seq.0)
             .ok_or(CacheError::UnknownSequence { seq: seq.0 })?;
-        Ok((state, &self.config))
+        Ok((state, &self.layout))
     }
 
     pub(crate) fn page(&self, idx: usize) -> Option<&Page> {
@@ -231,7 +227,7 @@ impl PagedKvCache {
                 });
             }
         }
-        self.pool.push(Page::new(&self.config));
+        self.pool.push(Page::new(&self.layout));
         Ok(self.pool.len() - 1)
     }
 
@@ -258,7 +254,6 @@ impl PagedKvCache {
     ///
     /// [`CacheError::UnknownSequence`], [`CacheError::BadShape`],
     /// [`CacheError::PositionCountMismatch`] or [`CacheError::OutOfPages`].
-    #[allow(clippy::needless_range_loop)] // i indexes k/v rows and positions in lockstep
     pub fn append(
         &mut self,
         seq: SeqId,
@@ -267,46 +262,14 @@ impl PagedKvCache {
         positions: &[usize],
     ) -> Result<(), CacheError> {
         let t = self.check_kv_shape(k, "k")?;
-        let tv = self.check_kv_shape(v, "v")?;
-        if tv != t {
-            return Err(CacheError::BadShape {
-                input: "v",
-                expected: vec![self.config.n_kv_heads, self.config.head_dim],
-                actual: v.shape().to_vec(),
-            });
-        }
-        if positions.len() != t {
-            return Err(CacheError::PositionCountMismatch {
-                tokens: t,
-                positions: positions.len(),
-            });
-        }
-        if !self.seqs.contains_key(&seq.0) {
-            return Err(CacheError::UnknownSequence { seq: seq.0 });
-        }
-        self.reserve_pages(seq, t)?;
-        let state = self.seqs.get_mut(&seq.0).expect("checked above");
-
-        // Copy token rows into pages.
-        let tok = self.config.token_numel();
-        let ps = self.config.page_size;
-        for i in 0..t {
-            let global_idx = state.len + i;
-            let page_idx = state.pages[global_idx / ps];
-            let slot = global_idx % ps;
-            let page = &mut self.pool[page_idx];
-            page.k[slot * tok..(slot + 1) * tok].copy_from_slice(k.row(i));
-            page.v[slot * tok..(slot + 1) * tok].copy_from_slice(v.row(i));
-            page.pos[slot] = positions[i];
-            page.used = page.used.max(slot + 1);
-        }
-        state.len += t;
-        Ok(())
+        let rows: Vec<usize> = (0..t).collect();
+        self.append_rows(seq, k, v, &rows, positions)
     }
 
     /// Appends selected rows of K/V (shape `[t, n_kv_heads, head_dim]`,
-    /// `rows[i] < t`) with their global positions, copying each row
-    /// straight into its page slot.
+    /// `rows[i] < t`) with their global positions, writing each row
+    /// straight into its page slot in [`PageLayout`]'s format — the one
+    /// transpose of a token's keys the kernels' panels need.
     ///
     /// This is the CP sharding hot path: a rank appends the non-contiguous
     /// subset of the projected K/V it owns without a `gather_dim0` staging
@@ -352,17 +315,13 @@ impl PagedKvCache {
         self.reserve_pages(seq, rows.len())?;
         let state = self.seqs.get_mut(&seq.0).expect("checked above");
 
-        let tok = self.config.token_numel();
-        let ps = self.config.page_size;
+        let layout = self.layout;
         for (i, (&row, &p)) in rows.iter().zip(positions).enumerate() {
-            let global_idx = state.len + i;
-            let page_idx = state.pages[global_idx / ps];
-            let slot = global_idx % ps;
-            let page = &mut self.pool[page_idx];
-            page.k[slot * tok..(slot + 1) * tok].copy_from_slice(k.row(row));
-            page.v[slot * tok..(slot + 1) * tok].copy_from_slice(v.row(row));
+            let (page_idx, slot) = layout.locate(state.len + i);
+            let page = &mut self.pool[state.pages[page_idx]];
+            layout.write_k(&mut page.k, slot, k.row(row));
+            layout.write_v(&mut page.v, slot, v.row(row));
             page.pos[slot] = p;
-            page.used = page.used.max(slot + 1);
         }
         state.len += rows.len();
         Ok(())
@@ -375,7 +334,7 @@ impl PagedKvCache {
             let s = &self.seqs[&seq.0];
             (s.len, s.pages.len())
         };
-        let needed_total_pages = (cur_len + t).div_ceil(self.config.page_size);
+        let needed_total_pages = self.layout.pages_for(cur_len + t);
         let new_pages_needed = needed_total_pages.saturating_sub(cur_pages);
         if let Some(max) = self.config.max_pages {
             let in_use = self.pool.len() - self.free.len();
@@ -412,16 +371,20 @@ impl PagedKvCache {
             .seqs
             .get(&seq.0)
             .ok_or(CacheError::UnknownSequence { seq: seq.0 })?;
-        let tok = self.config.token_numel();
-        let ps = self.config.page_size;
-        let mut kd = Vec::with_capacity(state.len * tok);
-        let mut vd = Vec::with_capacity(state.len * tok);
+        let layout = &self.layout;
+        let tok = layout.row_len();
+        let mut kd = vec![0.0; state.len * tok];
+        let mut vd = vec![0.0; state.len * tok];
         let mut pos = Vec::with_capacity(state.len);
-        for i in 0..state.len {
-            let page = &self.pool[state.pages[i / ps]];
-            let slot = i % ps;
-            kd.extend_from_slice(&page.k[slot * tok..(slot + 1) * tok]);
-            vd.extend_from_slice(&page.v[slot * tok..(slot + 1) * tok]);
+        for (i, (k_row, v_row)) in kd
+            .chunks_exact_mut(tok)
+            .zip(vd.chunks_exact_mut(tok))
+            .enumerate()
+        {
+            let (page_idx, slot) = layout.locate(i);
+            let page = &self.pool[state.pages[page_idx]];
+            layout.read_k(&page.k, slot, k_row);
+            layout.read_v(&page.v, slot, v_row);
             pos.push(page.pos[slot]);
         }
         let shape = [state.len, self.config.n_kv_heads, self.config.head_dim];
@@ -442,9 +405,11 @@ impl PagedKvCache {
             .seqs
             .get(&seq.0)
             .ok_or(CacheError::UnknownSequence { seq: seq.0 })?;
-        let ps = self.config.page_size;
         Ok((0..state.len)
-            .map(|i| self.pool[state.pages[i / ps]].pos[i % ps])
+            .map(|i| {
+                let (page_idx, slot) = self.layout.locate(i);
+                self.pool[state.pages[page_idx]].pos[slot]
+            })
             .collect())
     }
 
@@ -457,7 +422,6 @@ impl PagedKvCache {
     /// [`CacheError::UnknownSequence`] or [`CacheError::BadTruncate`] if
     /// `new_len` exceeds the current length.
     pub fn truncate(&mut self, seq: SeqId, new_len: usize) -> Result<(), CacheError> {
-        let ps = self.config.page_size;
         let state = self
             .seqs
             .get_mut(&seq.0)
@@ -468,23 +432,9 @@ impl PagedKvCache {
                 current: state.len,
             });
         }
-        let pages_needed = new_len.div_ceil(ps);
-        let released: Vec<usize> = state.pages.split_off(pages_needed);
+        let released = state.pages.split_off(self.layout.pages_for(new_len));
         state.len = new_len;
-        let last_kept = state.pages.last().copied();
-        // Roll a partial last page's used watermark back too, so it
-        // keeps meaning "slots holding live data" across truncations
-        // (same invariant as the quantized pool).
-        let tail = new_len % ps;
-        if tail > 0 {
-            if let Some(last) = last_kept {
-                self.pool[last].used = self.pool[last].used.min(tail);
-            }
-        }
-        for idx in released {
-            self.pool[idx].used = 0;
-            self.free.push(idx);
-        }
+        self.free.extend(released);
         Ok(())
     }
 
@@ -498,10 +448,7 @@ impl PagedKvCache {
             .seqs
             .remove(&seq.0)
             .ok_or(CacheError::UnknownSequence { seq: seq.0 })?;
-        for idx in state.pages {
-            self.pool[idx].used = 0;
-            self.free.push(idx);
-        }
+        self.free.extend(state.pages);
         Ok(())
     }
 

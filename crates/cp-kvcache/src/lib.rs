@@ -12,6 +12,13 @@
 //! * [`KvView`] — a zero-copy borrowed view of a sequence's pages that
 //!   attention kernels consume directly (via `cp_attention::KvSource`),
 //!   keeping [`PagedKvCache::gather`] off the decode hot path.
+//! * Pages are stored in the layout the attention kernel consumes,
+//!   `cp_attention::PageLayout`: K `[kv_head][d][slot]` (k-major, the
+//!   kernel's panel order), V `[kv_head][slot][d]`, INT8 scales
+//!   `[kv_head][slot]`. An append writes each token through it once, so a
+//!   decode step packs its KV blocks with contiguous copies instead of
+//!   transposing every cached key again; `gather` reads rows back through
+//!   the same type. No code here computes an offset inside a page.
 //! * Each cached token carries its **global position**, because a CP rank
 //!   holds a *non-contiguous* slice of every sequence under load-balanced
 //!   sharding — position metadata is what keeps ring attention exact.

@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use cp_attention::KvSource;
+use cp_attention::{KvSource, PageLayout};
 use cp_tensor::Tensor;
 
 use crate::{CacheError, CacheStats, KvCacheConfig, SeqId};
@@ -31,6 +31,16 @@ pub(crate) fn quantize_head_into(head: &[f32], codes_out: &mut [i8]) -> f32 {
         *c = (v / scale).round().clamp(-127.0, 127.0) as i8;
     }
     scale
+}
+
+/// Quantizes one token row, head by head, into `codes` and `scales`.
+fn quantize_row(row: &[f32], head_dim: usize, codes: &mut [i8], scales: &mut [f32]) {
+    let heads = row
+        .chunks_exact(head_dim)
+        .zip(codes.chunks_exact_mut(head_dim));
+    for ((head, out), scale) in heads.zip(scales.iter_mut()) {
+        *scale = quantize_head_into(head, out);
+    }
 }
 
 /// One quantized KV entry set: INT8 codes plus per-(token, head) scales.
@@ -262,8 +272,8 @@ impl QuantizedKv {
     }
 }
 
-/// One fixed-size quantized page: INT8 codes, per-(token, head) scales and
-/// position metadata for up to `page_size` tokens.
+/// One fixed-size quantized page: INT8 codes and per-(token, head) scales
+/// in [`PageLayout`]'s format, plus the position of each token slot.
 #[derive(Debug, Clone)]
 struct QuantPage {
     k_codes: Vec<i8>,
@@ -271,18 +281,16 @@ struct QuantPage {
     v_codes: Vec<i8>,
     v_scales: Vec<f32>,
     pos: Vec<usize>,
-    used: usize,
 }
 
 impl QuantPage {
-    fn new(config: &KvCacheConfig) -> Self {
+    fn new(layout: &PageLayout) -> Self {
         QuantPage {
-            k_codes: vec![0; config.page_size * config.token_numel()],
-            k_scales: vec![0.0; config.page_size * config.n_kv_heads],
-            v_codes: vec![0; config.page_size * config.token_numel()],
-            v_scales: vec![0.0; config.page_size * config.n_kv_heads],
-            pos: vec![0; config.page_size],
-            used: 0,
+            k_codes: vec![0; layout.page_len()],
+            k_scales: vec![0.0; layout.scales_len()],
+            v_codes: vec![0; layout.page_len()],
+            v_scales: vec![0.0; layout.scales_len()],
+            pos: vec![0; layout.page_size()],
         }
     }
 }
@@ -307,6 +315,7 @@ struct QuantSeqState {
 #[derive(Debug)]
 pub struct QuantKvCache {
     config: KvCacheConfig,
+    layout: PageLayout,
     pool: Vec<QuantPage>,
     free: Vec<usize>,
     seqs: HashMap<u64, QuantSeqState>,
@@ -314,9 +323,14 @@ pub struct QuantKvCache {
 
 impl QuantKvCache {
     /// Creates an empty cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a dimension of `config` is zero.
     pub fn new(config: KvCacheConfig) -> Self {
         QuantKvCache {
             config,
+            layout: config.layout(),
             pool: Vec::new(),
             free: Vec::new(),
             seqs: HashMap::new(),
@@ -390,19 +404,8 @@ impl QuantKvCache {
                 });
             }
         }
-        self.pool.push(QuantPage::new(&self.config));
+        self.pool.push(QuantPage::new(&self.layout));
         Ok(self.pool.len() - 1)
-    }
-
-    fn check_geometry(&self, q: &QuantizedKv, input: &'static str) -> Result<(), CacheError> {
-        if q.n_heads != self.config.n_kv_heads || q.head_dim != self.config.head_dim {
-            return Err(CacheError::BadShape {
-                input,
-                expected: vec![self.config.n_kv_heads, self.config.head_dim],
-                actual: vec![q.n_heads, q.head_dim],
-            });
-        }
-        Ok(())
     }
 
     fn check_kv_shape(&self, t: &Tensor, input: &'static str) -> Result<usize, CacheError> {
@@ -420,11 +423,11 @@ impl QuantKvCache {
     /// Quantizes and appends `t` tokens of K/V (shape
     /// `[t, n_kv_heads, head_dim]`) with their global positions.
     ///
-    /// Each `(token, head)` vector is quantized **directly into its
-    /// reserved page slot** (`quantize_head_into`, the same arithmetic as
-    /// [`QuantizedKv::quantize`]) — no contiguous [`QuantizedKv`] staging
-    /// buffer is built and copied, which used to double-write every
-    /// appended byte.
+    /// Each token's `(token, head)` vectors are quantized into a one-row
+    /// scratch (`quantize_head_into`, the same arithmetic as
+    /// [`QuantizedKv::quantize`]) and written into the token's reserved
+    /// page slot in [`PageLayout`]'s format — no contiguous
+    /// [`QuantizedKv`] staging buffer of the whole append is built.
     ///
     /// Appending is transactional with respect to capacity: needed pages
     /// are reserved up front, so an [`CacheError::OutOfPages`] failure
@@ -447,8 +450,8 @@ impl QuantKvCache {
     }
 
     /// Appends selected rows of K/V (shape `[t, n_kv_heads, head_dim]`,
-    /// `rows[i] < t`) with their global positions, quantizing each row in
-    /// place into its page slot.
+    /// `rows[i] < t`) with their global positions, quantizing each row
+    /// into its page slot.
     ///
     /// This is the CP sharding hot path: a rank appends the non-contiguous
     /// subset of the projected K/V it owns without a `gather_dim0` staging
@@ -495,32 +498,25 @@ impl QuantKvCache {
         self.reserve_pages(seq, t)?;
         let state = self.seqs.get_mut(&seq.0).expect("checked above");
 
-        // Quantize each (token, head) vector straight into its page slot.
-        // Every slot a token lands in is fully overwritten — codes, scales
-        // AND position — so stale data from a previous tenant of a reused
-        // page can never survive into a gather.
-        let dh = self.config.head_dim;
-        let tok = self.config.token_numel();
-        let hs = self.config.n_kv_heads;
-        let ps = self.config.page_size;
+        // Quantize each (token, head) vector, then write the token's codes
+        // and scales into its page slot. Every slot a token lands in is
+        // fully overwritten — codes, scales AND position — so stale data
+        // from a previous tenant of a reused page can never survive into a
+        // gather.
+        let layout = self.layout;
+        let dh = layout.head_dim();
+        let mut codes = vec![0i8; layout.row_len()];
+        let mut scales = vec![0.0f32; layout.n_kv_heads()];
         for (i, (&row, &p)) in rows.iter().zip(positions).enumerate() {
-            let global_idx = state.len + i;
-            let page_idx = state.pages[global_idx / ps];
-            let slot = global_idx % ps;
-            let page = &mut self.pool[page_idx];
-            let (krow, vrow) = (k.row(row), v.row(row));
-            for h in 0..hs {
-                page.k_scales[slot * hs + h] = quantize_head_into(
-                    &krow[h * dh..(h + 1) * dh],
-                    &mut page.k_codes[slot * tok + h * dh..slot * tok + (h + 1) * dh],
-                );
-                page.v_scales[slot * hs + h] = quantize_head_into(
-                    &vrow[h * dh..(h + 1) * dh],
-                    &mut page.v_codes[slot * tok + h * dh..slot * tok + (h + 1) * dh],
-                );
-            }
+            let (page_idx, slot) = layout.locate(state.len + i);
+            let page = &mut self.pool[state.pages[page_idx]];
+            quantize_row(k.row(row), dh, &mut codes, &mut scales);
+            layout.write_k(&mut page.k_codes, slot, &codes);
+            layout.write_scales(&mut page.k_scales, slot, &scales);
+            quantize_row(v.row(row), dh, &mut codes, &mut scales);
+            layout.write_v(&mut page.v_codes, slot, &codes);
+            layout.write_scales(&mut page.v_scales, slot, &scales);
             page.pos[slot] = p;
-            page.used = page.used.max(slot + 1);
         }
         state.len += t;
         Ok(())
@@ -532,7 +528,7 @@ impl QuantKvCache {
             let s = &self.seqs[&seq.0];
             (s.len, s.pages.len())
         };
-        let needed_total_pages = (cur_len + t).div_ceil(self.config.page_size);
+        let needed_total_pages = self.layout.pages_for(cur_len + t);
         let new_pages_needed = needed_total_pages.saturating_sub(cur_pages);
         if let Some(max) = self.config.max_pages {
             let headroom = self.free.len() + max.saturating_sub(self.pool.len());
@@ -553,68 +549,6 @@ impl QuantKvCache {
             .expect("checked by caller")
             .pages
             .extend(reserved);
-        Ok(())
-    }
-
-    /// Appends already-quantized K/V blocks (e.g. relayed from another
-    /// rank without a dequantize round-trip).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QuantKvCache::append`].
-    pub fn append_quantized(
-        &mut self,
-        seq: SeqId,
-        qk: &QuantizedKv,
-        qv: &QuantizedKv,
-        positions: &[usize],
-    ) -> Result<(), CacheError> {
-        self.check_geometry(qk, "k")?;
-        self.check_geometry(qv, "v")?;
-        let t = qk.tokens;
-        if qv.tokens != t {
-            return Err(CacheError::BadShape {
-                input: "v",
-                expected: vec![t, self.config.n_kv_heads, self.config.head_dim],
-                actual: vec![qv.tokens, qv.n_heads, qv.head_dim],
-            });
-        }
-        if positions.len() != t {
-            return Err(CacheError::PositionCountMismatch {
-                tokens: t,
-                positions: positions.len(),
-            });
-        }
-        if !self.seqs.contains_key(&seq.0) {
-            return Err(CacheError::UnknownSequence { seq: seq.0 });
-        }
-        self.reserve_pages(seq, t)?;
-        let state = self.seqs.get_mut(&seq.0).expect("checked above");
-
-        // Copy per-token code/scale rows into page slots. Every slot a
-        // token lands in is fully overwritten — codes, scales AND
-        // position — so stale data from a previous tenant of a reused
-        // page can never survive into a gather.
-        let tok = self.config.token_numel();
-        let hs = self.config.n_kv_heads;
-        let ps = self.config.page_size;
-        for (i, &p) in positions.iter().enumerate() {
-            let global_idx = state.len + i;
-            let page_idx = state.pages[global_idx / ps];
-            let slot = global_idx % ps;
-            let page = &mut self.pool[page_idx];
-            page.k_codes[slot * tok..(slot + 1) * tok]
-                .copy_from_slice(&qk.codes[i * tok..(i + 1) * tok]);
-            page.k_scales[slot * hs..(slot + 1) * hs]
-                .copy_from_slice(&qk.scales[i * hs..(i + 1) * hs]);
-            page.v_codes[slot * tok..(slot + 1) * tok]
-                .copy_from_slice(&qv.codes[i * tok..(i + 1) * tok]);
-            page.v_scales[slot * hs..(slot + 1) * hs]
-                .copy_from_slice(&qv.scales[i * hs..(i + 1) * hs]);
-            page.pos[slot] = p;
-            page.used = page.used.max(slot + 1);
-        }
-        state.len += t;
         Ok(())
     }
 
@@ -639,31 +573,35 @@ impl QuantKvCache {
             .seqs
             .get(&seq.0)
             .ok_or(CacheError::UnknownSequence { seq: seq.0 })?;
-        let tok = self.config.token_numel();
-        let hs = self.config.n_kv_heads;
-        let ps = self.config.page_size;
-        let mut k_codes = Vec::with_capacity(state.len * tok);
-        let mut k_scales = Vec::with_capacity(state.len * hs);
-        let mut v_codes = Vec::with_capacity(state.len * tok);
-        let mut v_scales = Vec::with_capacity(state.len * hs);
-        let mut pos = Vec::with_capacity(state.len);
-        for i in 0..state.len {
-            let page = &self.pool[state.pages[i / ps]];
-            let slot = i % ps;
-            k_codes.extend_from_slice(&page.k_codes[slot * tok..(slot + 1) * tok]);
-            k_scales.extend_from_slice(&page.k_scales[slot * hs..(slot + 1) * hs]);
-            v_codes.extend_from_slice(&page.v_codes[slot * tok..(slot + 1) * tok]);
-            v_scales.extend_from_slice(&page.v_scales[slot * hs..(slot + 1) * hs]);
-            pos.push(page.pos[slot]);
-        }
-        let mk = |codes: Vec<i8>, scales: Vec<f32>| QuantizedKv {
-            codes,
-            scales,
+        let layout = &self.layout;
+        let (tok, hs) = (layout.row_len(), layout.n_kv_heads());
+        let empty = || QuantizedKv {
+            codes: vec![0; state.len * tok],
+            scales: vec![0.0; state.len * hs],
             tokens: state.len,
             n_heads: hs,
-            head_dim: self.config.head_dim,
+            head_dim: layout.head_dim(),
         };
-        Ok((mk(k_codes, k_scales), mk(v_codes, v_scales), pos))
+        let (mut qk, mut qv) = (empty(), empty());
+        let mut pos = Vec::with_capacity(state.len);
+        let k_rows = qk
+            .codes
+            .chunks_exact_mut(tok)
+            .zip(qk.scales.chunks_exact_mut(hs));
+        let v_rows = qv
+            .codes
+            .chunks_exact_mut(tok)
+            .zip(qv.scales.chunks_exact_mut(hs));
+        for (i, ((k_codes, k_scales), (v_codes, v_scales))) in k_rows.zip(v_rows).enumerate() {
+            let (page_idx, slot) = layout.locate(i);
+            let page = &self.pool[state.pages[page_idx]];
+            layout.read_k(&page.k_codes, slot, k_codes);
+            layout.read_scales(&page.k_scales, slot, k_scales);
+            layout.read_v(&page.v_codes, slot, v_codes);
+            layout.read_scales(&page.v_scales, slot, v_scales);
+            pos.push(page.pos[slot]);
+        }
+        Ok((qk, qv, pos))
     }
 
     /// Dequantizes a sequence back to `[len, n_kv_heads, head_dim]` K/V
@@ -695,50 +633,41 @@ impl QuantKvCache {
             .seqs
             .get(&seq.0)
             .ok_or(CacheError::UnknownSequence { seq: seq.0 })?;
-        let tok = self.config.token_numel();
-        let hs = self.config.n_kv_heads;
-        let ps = self.config.page_size;
-        let n_pages = state.len.div_ceil(ps);
+        let n_pages = self.layout.pages_for(state.len);
         let mut view = QuantKvView {
             k_codes: Vec::with_capacity(n_pages),
             k_scales: Vec::with_capacity(n_pages),
             v_codes: Vec::with_capacity(n_pages),
             v_scales: Vec::with_capacity(n_pages),
-            pos: Vec::with_capacity(state.len),
-            page_size: ps,
-            n_heads: hs,
-            head_dim: self.config.head_dim,
+            pos: Vec::with_capacity(n_pages * self.layout.page_size()),
+            layout: self.layout,
             len: state.len,
         };
-        for (p, page) in state
+        for page in state
             .pages
             .iter()
             .take(n_pages)
             .filter_map(|&idx| self.pool.get(idx))
-            .enumerate()
         {
-            let rows = (state.len - p * ps).min(ps);
-            view.k_codes.push(&page.k_codes[..rows * tok]);
-            view.k_scales.push(&page.k_scales[..rows * hs]);
-            view.v_codes.push(&page.v_codes[..rows * tok]);
-            view.v_scales.push(&page.v_scales[..rows * hs]);
-            view.pos.extend_from_slice(&page.pos[..rows]);
+            view.k_codes.push(&page.k_codes);
+            view.k_scales.push(&page.k_scales);
+            view.v_codes.push(&page.v_codes);
+            view.v_scales.push(&page.v_scales);
+            view.pos.extend_from_slice(&page.pos);
         }
+        // The last page's slots past the sequence's length hold no token.
+        view.pos.truncate(state.len);
         Ok(view)
     }
 
     /// Shrinks a sequence to `new_len` tokens (dropping the most recent
-    /// ones), releasing now-empty pages back to the free list. The kept
-    /// partial page's `used` watermark is rolled back too, so a later
-    /// reappend sees an occupancy that matches the sequence length instead
-    /// of the stale pre-truncate high-water mark.
+    /// ones), releasing now-empty pages back to the free list.
     ///
     /// # Errors
     ///
     /// [`CacheError::UnknownSequence`] or [`CacheError::BadTruncate`] if
     /// `new_len` exceeds the current length.
     pub fn truncate(&mut self, seq: SeqId, new_len: usize) -> Result<(), CacheError> {
-        let ps = self.config.page_size;
         let state = self
             .seqs
             .get_mut(&seq.0)
@@ -749,17 +678,9 @@ impl QuantKvCache {
                 current: state.len,
             });
         }
-        let pages_needed = new_len.div_ceil(ps);
-        let released: Vec<usize> = state.pages.split_off(pages_needed);
+        let released = state.pages.split_off(self.layout.pages_for(new_len));
         state.len = new_len;
-        if let Some(&last) = state.pages.last() {
-            let tail = new_len - (pages_needed - 1) * ps;
-            self.pool[last].used = self.pool[last].used.min(tail);
-        }
-        for idx in released {
-            self.pool[idx].used = 0;
-            self.free.push(idx);
-        }
+        self.free.extend(released);
         Ok(())
     }
 
@@ -773,10 +694,7 @@ impl QuantKvCache {
             .seqs
             .remove(&seq.0)
             .ok_or(CacheError::UnknownSequence { seq: seq.0 })?;
-        for idx in state.pages {
-            self.pool[idx].used = 0;
-            self.free.push(idx);
-        }
+        self.free.extend(state.pages);
         Ok(())
     }
 
@@ -793,15 +711,14 @@ impl QuantKvCache {
     /// Bytes of quantized payload (codes + scales) across all pool pages,
     /// allocated or free.
     pub fn storage_bytes(&self) -> usize {
-        let per_page = 2 * self.config.page_size * self.config.token_numel()
-            + 2 * self.config.page_size * self.config.n_kv_heads * 4;
+        let per_page = 2 * self.layout.page_len() + 2 * self.layout.scales_len() * 4;
         self.pool.len() * per_page
     }
 }
 
-/// A borrowed, zero-copy view of one sequence's quantized K/V pages:
-/// per-page INT8 code slices and per-(token, head) scale slices (trimmed to
-/// the tokens they actually hold) plus the positions, in append order.
+/// A borrowed, zero-copy view of one sequence's quantized K/V pages: its
+/// full INT8 code and per-(token, head) scale pages, in [`PageLayout`]'s
+/// format, plus the positions of its tokens in append order.
 ///
 /// [`QuantKvView::source`] exposes this directly to the attention kernels
 /// as a `KvSource::quant_paged` — each head vector is dequantized inside
@@ -814,9 +731,7 @@ pub struct QuantKvView<'a> {
     v_codes: Vec<&'a [i8]>,
     v_scales: Vec<&'a [f32]>,
     pos: Vec<usize>,
-    page_size: usize,
-    n_heads: usize,
-    head_dim: usize,
+    layout: PageLayout,
     len: usize,
 }
 
@@ -833,7 +748,7 @@ impl<'a> QuantKvView<'a> {
 
     /// Tokens per page.
     pub fn page_size(&self) -> usize {
-        self.page_size
+        self.layout.page_size()
     }
 
     /// Global positions of the cached tokens, in append order.
@@ -848,9 +763,9 @@ impl<'a> QuantKvView<'a> {
             &self.k_scales,
             &self.v_codes,
             &self.v_scales,
-            self.page_size,
-            self.n_heads,
-            self.head_dim,
+            self.layout.page_size(),
+            self.layout.n_kv_heads(),
+            self.layout.head_dim(),
             self.len,
         )
         .expect("view geometry is consistent by construction")

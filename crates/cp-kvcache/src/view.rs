@@ -1,27 +1,26 @@
 //! Zero-copy borrowed views of a sequence's cached K/V pages.
 
-use cp_attention::KvSource;
+use cp_attention::{KvSource, PageLayout};
 
 use crate::PagedKvCache;
 use crate::{CacheError, SeqId};
 
-/// A borrowed, zero-copy view of one sequence's cached K/V: per-page
-/// `&[f32]` slices (trimmed to the tokens they actually hold) plus the
-/// positions, in append order.
+/// A borrowed, zero-copy view of one sequence's cached K/V: its full
+/// pages, in [`PageLayout`]'s format, plus the positions of its tokens in
+/// append order.
 ///
-/// This is the layout the attention kernels consume *directly* via
+/// The attention kernels consume these pages *directly* via
 /// [`KvView::source`] — no [`PagedKvCache::gather`] materialization. Token
-/// `i` lives in page `i / page_size` at slot `i % page_size`; every page is
-/// full except possibly the last. Building a view is O(pages) for the slice
-/// handles plus O(tokens) for the position array (8 bytes/token, negligible
-/// next to the K/V payload a gather would copy).
+/// `i` lives in page `i / page_size` at slot `i % page_size`; slots past
+/// the sequence's length in its last page hold no token. Building a view
+/// is O(pages) for the slice handles plus O(tokens) for the position array
+/// (8 bytes/token, negligible next to the K/V payload a gather would copy).
 #[derive(Debug, Clone)]
 pub struct KvView<'a> {
     k_pages: Vec<&'a [f32]>,
     v_pages: Vec<&'a [f32]>,
     pos: Vec<usize>,
-    page_size: usize,
-    token_numel: usize,
+    layout: PageLayout,
     len: usize,
 }
 
@@ -38,12 +37,7 @@ impl<'a> KvView<'a> {
 
     /// Tokens per page.
     pub fn page_size(&self) -> usize {
-        self.page_size
-    }
-
-    /// Elements per token row (`n_kv_heads * head_dim`).
-    pub fn token_numel(&self) -> usize {
-        self.token_numel
+        self.layout.page_size()
     }
 
     /// Global positions of the cached tokens, in append order.
@@ -51,7 +45,7 @@ impl<'a> KvView<'a> {
         &self.pos
     }
 
-    /// Per-page K slices; page `p` holds rows `[p * page_size, ...)`.
+    /// Per-page K slices; page `p` holds tokens `[p * page_size, ...)`.
     pub fn k_pages(&self) -> &[&'a [f32]] {
         &self.k_pages
     }
@@ -66,8 +60,9 @@ impl<'a> KvView<'a> {
         KvSource::paged(
             &self.k_pages,
             &self.v_pages,
-            self.page_size,
-            self.token_numel,
+            self.layout.page_size(),
+            self.layout.n_kv_heads(),
+            self.layout.head_dim(),
             self.len,
         )
         .expect("view geometry is consistent by construction")
@@ -85,33 +80,28 @@ impl PagedKvCache {
     ///
     /// Returns [`CacheError::UnknownSequence`] if absent.
     pub fn view(&self, seq: SeqId) -> Result<KvView<'_>, CacheError> {
-        let (state, config) = self.seq_state(seq)?;
-        let tok = config.token_numel();
-        let ps = config.page_size;
-        let n_pages = state.len.div_ceil(ps);
-        let mut k_pages = Vec::with_capacity(n_pages);
-        let mut v_pages = Vec::with_capacity(n_pages);
-        let mut pos = Vec::with_capacity(state.len);
-        for (p, page) in state
+        let (state, layout) = self.seq_state(seq)?;
+        let n_pages = layout.pages_for(state.len);
+        let mut view = KvView {
+            k_pages: Vec::with_capacity(n_pages),
+            v_pages: Vec::with_capacity(n_pages),
+            pos: Vec::with_capacity(n_pages * layout.page_size()),
+            layout: *layout,
+            len: state.len,
+        };
+        for page in state
             .pages
             .iter()
             .take(n_pages)
             .filter_map(|&idx| self.page(idx))
-            .enumerate()
         {
-            let rows = (state.len - p * ps).min(ps);
-            k_pages.push(page.k_slice(rows * tok));
-            v_pages.push(page.v_slice(rows * tok));
-            pos.extend_from_slice(page.pos_slice(rows));
+            view.k_pages.push(&page.k);
+            view.v_pages.push(&page.v);
+            view.pos.extend_from_slice(&page.pos);
         }
-        Ok(KvView {
-            k_pages,
-            v_pages,
-            pos,
-            page_size: ps,
-            token_numel: tok,
-            len: state.len,
-        })
+        // The last page's slots past the sequence's length hold no token.
+        view.pos.truncate(state.len);
+        Ok(view)
     }
 }
 
@@ -120,6 +110,17 @@ mod tests {
     use super::*;
     use crate::KvCacheConfig;
     use cp_tensor::DetRng;
+
+    /// Token `i`'s K and V rows (2 heads of dim 3) read back head by head.
+    fn heads(src: &KvSource<'_>, i: usize) -> (Vec<f32>, Vec<f32>) {
+        let mut scratch = [0.0f32; 3];
+        let (mut k, mut v) = (Vec::new(), Vec::new());
+        for h in 0..2 {
+            k.extend_from_slice(src.k_head(i, h, 3, &mut scratch).unwrap());
+            v.extend_from_slice(src.v_head(i, h, 3, &mut scratch).unwrap());
+        }
+        (k, v)
+    }
 
     fn cache_with(page_size: usize, tokens: usize, seed: u64) -> (PagedKvCache, SeqId) {
         let mut cache = PagedKvCache::new(KvCacheConfig::new(page_size, 2, 3));
@@ -141,14 +142,16 @@ mod tests {
             let view = cache.view(seq).unwrap();
             assert_eq!(view.len(), t);
             assert_eq!(view.page_size(), ps);
-            assert_eq!(view.token_numel(), 6);
             assert_eq!(view.positions(), &gpos[..]);
             let src = view.source();
             for i in 0..t {
-                assert_eq!(src.k_row(i).unwrap(), gk.row(i), "k row {i}");
-                assert_eq!(src.v_row(i).unwrap(), gv.row(i), "v row {i}");
+                assert_eq!(
+                    heads(&src, i),
+                    (gk.row(i).to_vec(), gv.row(i).to_vec()),
+                    "row {i}"
+                );
             }
-            assert!(src.k_row(t).is_none());
+            assert!(src.k_head(t, 0, 3, &mut [0.0; 3]).is_none());
         }
     }
 
@@ -156,10 +159,17 @@ mod tests {
     fn view_is_zero_copy() {
         let (cache, seq) = cache_with(4, 9, 12);
         let view = cache.view(seq).unwrap();
-        // 9 tokens over pages of 4: three pages, last trimmed to 1 row.
+        // 9 tokens over pages of 4: three pages, each a whole pool page
+        // borrowed in place (the last holds one token).
         assert_eq!(view.k_pages().len(), 3);
-        assert_eq!(view.k_pages()[0].len(), 4 * 6);
-        assert_eq!(view.k_pages()[2].len(), 6);
+        assert!(view.k_pages().iter().all(|p| p.len() == 4 * 6));
+        let pages = cache.seq_state(seq).unwrap().0.pages.clone();
+        for (borrowed, idx) in view.k_pages().iter().zip(pages) {
+            assert!(std::ptr::eq(
+                *borrowed,
+                cache.page(idx).unwrap().k.as_slice()
+            ));
+        }
         assert_eq!(view.source().page_size(), Some(4));
     }
 
@@ -171,7 +181,7 @@ mod tests {
         let view = cache.view(seq).unwrap();
         assert_eq!(view.len(), 5);
         assert_eq!(view.positions(), &gpos[..]);
-        assert_eq!(view.source().k_row(4).unwrap(), gk.row(4));
+        assert_eq!(heads(&view.source(), 4).0, gk.row(4));
 
         let mut rng = DetRng::new(14);
         let k2 = rng.tensor(&[3, 2, 3]);
@@ -179,7 +189,7 @@ mod tests {
         cache.append(seq, &k2, &v2, &[5, 6, 7]).unwrap();
         let view = cache.view(seq).unwrap();
         assert_eq!(view.len(), 8);
-        assert_eq!(view.source().k_row(7).unwrap(), k2.row(2));
+        assert_eq!(heads(&view.source(), 7).0, k2.row(2));
     }
 
     #[test]
@@ -217,8 +227,7 @@ mod tests {
         let view = cache.view(b).unwrap();
         let src = view.source();
         for i in 0..5 {
-            assert_eq!(src.k_row(i).unwrap(), gk.row(i));
-            assert_eq!(src.v_row(i).unwrap(), gv.row(i));
+            assert_eq!(heads(&src, i), (gk.row(i).to_vec(), gv.row(i).to_vec()));
         }
     }
 

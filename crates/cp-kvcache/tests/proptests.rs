@@ -363,6 +363,104 @@ proptest! {
         prop_assert!(de.out.max_abs_diff(&dv2.out).unwrap() < tol);
     }
 
+    /// Pages in the kernel's layout round-trip exactly. Under append /
+    /// append_rows / truncate / free churn (freed pages are reused by the
+    /// next sequence to grow) and at page sizes around the kernel's 8-wide
+    /// panels, every live sequence's `gather` is exactly its appended rows,
+    /// the view's `k_head` / `v_head` read back the same rows, and the INT8
+    /// cache's pages are bitwise its `QuantizedKv::extend` shadow.
+    #[test]
+    fn kernel_layout_pages_round_trip_under_churn(
+        page_size in prop_oneof![Just(1usize), Just(3), Just(7), Just(8), Just(16), Just(17)],
+        ops in prop::collection::vec((0usize..5, 0u64..3, 1usize..12, 0.0f64..1.0), 1..16),
+        seed in any::<u64>(),
+    ) {
+        let (nkv, dh) = (2usize, 3usize);
+        let config = KvCacheConfig::new(page_size, nkv, dh);
+        let (mut cache, mut quant) = (PagedKvCache::new(config), QuantKvCache::new(config));
+        let mut rng = DetRng::new(seed);
+        // Per live sequence: the appended K and V rows and their INT8 shadow.
+        let mut shadow: std::collections::BTreeMap<u64, (Tensor, Tensor, QuantizedKv, QuantizedKv)> =
+            std::collections::BTreeMap::new();
+        for (op, s, t, frac) in ops {
+            let seq = SeqId(s);
+            match op {
+                // Append t rows, whole or as a scattered row selection.
+                0..=2 => {
+                    let empty = Tensor::zeros(&[0, nkv, dh]);
+                    let entry = shadow.entry(s).or_insert_with(|| {
+                        cache.create_sequence(seq).unwrap();
+                        quant.create_sequence(seq).unwrap();
+                        let q = QuantizedKv::quantize(&empty).unwrap();
+                        (empty.clone(), empty.clone(), q.clone(), q)
+                    });
+                    let (k_all, v_all) = (rng.tensor(&[t + 3, nkv, dh]), rng.tensor(&[t + 3, nkv, dh]));
+                    let rows: Vec<usize> = if op == 0 {
+                        (0..t).collect()
+                    } else {
+                        (0..t).map(|i| (i * 5 + op) % (t + 3)).collect()
+                    };
+                    let (k, v) = (k_all.gather_dim0(&rows).unwrap(), v_all.gather_dim0(&rows).unwrap());
+                    let start = entry.0.dim0();
+                    let pos: Vec<usize> = (start..start + t).collect();
+                    if op == 0 {
+                        cache.append(seq, &k, &v, &pos).unwrap();
+                        quant.append(seq, &k, &v, &pos).unwrap();
+                    } else {
+                        cache.append_rows(seq, &k_all, &v_all, &rows, &pos).unwrap();
+                        quant.append_rows(seq, &k_all, &v_all, &rows, &pos).unwrap();
+                    }
+                    entry.0 = Tensor::concat_dim0([&entry.0, &k]).unwrap();
+                    entry.1 = Tensor::concat_dim0([&entry.1, &v]).unwrap();
+                    entry.2.extend(&QuantizedKv::quantize(&k).unwrap()).unwrap();
+                    entry.3.extend(&QuantizedKv::quantize(&v).unwrap()).unwrap();
+                }
+                3 => {
+                    if let Some(entry) = shadow.get_mut(&s) {
+                        let keep = ((entry.0.dim0() as f64) * frac) as usize;
+                        cache.truncate(seq, keep).unwrap();
+                        quant.truncate(seq, keep).unwrap();
+                        entry.0 = entry.0.slice_dim0(0..keep).unwrap();
+                        entry.1 = entry.1.slice_dim0(0..keep).unwrap();
+                        entry.2.truncate(keep).unwrap();
+                        entry.3.truncate(keep).unwrap();
+                    }
+                }
+                _ => {
+                    if shadow.remove(&s).is_some() {
+                        cache.free_sequence(seq).unwrap();
+                        quant.free_sequence(seq).unwrap();
+                    }
+                }
+            }
+            let mut scratch = vec![0.0f32; dh];
+            for (&id, (sk, sv, sqk, sqv)) in &shadow {
+                let seq = SeqId(id);
+                let (gk, gv, gpos) = cache.gather(seq).unwrap();
+                prop_assert_eq!(&gk, sk);
+                prop_assert_eq!(&gv, sv);
+                prop_assert_eq!(&gpos, &(0..sk.dim0()).collect::<Vec<_>>());
+                let view = cache.view(seq).unwrap();
+                let (qk, qv, _) = quant.gather_quantized(seq).unwrap();
+                prop_assert_eq!(&qk, sqk);
+                prop_assert_eq!(&qv, sqv);
+                let qview = quant.view(seq).unwrap();
+                let (dk, dv) = (sqk.dequantize(), sqv.dequantize());
+                for (src, k, v) in [(view.source(), &gk, &gv), (qview.source(), &dk, &dv)] {
+                    for i in 0..k.dim0() {
+                        for h in 0..nkv {
+                            let want = &k.row(i)[h * dh..(h + 1) * dh];
+                            prop_assert_eq!(src.k_head(i, h, dh, &mut scratch).unwrap(), want);
+                            let want = &v.row(i)[h * dh..(h + 1) * dh];
+                            prop_assert_eq!(src.v_head(i, h, dh, &mut scratch).unwrap(), want);
+                        }
+                    }
+                    prop_assert!(src.k_head(k.dim0(), 0, dh, &mut scratch).is_none());
+                }
+            }
+        }
+    }
+
     /// The view stays bit-faithful to gather after truncation rewinds the
     /// sequence to a ragged mid-page length and appends resume from there.
     #[test]

@@ -766,6 +766,29 @@ mod tests {
     }
 
     #[test]
+    fn eviction_drains_under_memory_pressure_across_ranks() {
+        // At CP > 1 the rank that runs out of pages is often not rank 0,
+        // and its peers see only its exit. Its out-of-pages error must
+        // still reach the scheduler, which then evicts instead of failing
+        // the tick. Eight live 3-turn conversations need more than the
+        // 20 pages per (rank, layer).
+        for n_ranks in [2, 3] {
+            let model = Transformer::new(&TransformerConfig::tiny(), 14);
+            let engine = TransformerEngine::with_cache_limit(model, n_ranks, Some(20)).unwrap();
+            let mut sched = Scheduler::new(engine, SchedConfig::default());
+            for id in 0..10 {
+                sched.submit(id, 0.0, conv(&[(20, 20), (20, 20), (20, 20)]));
+            }
+            sched.run_to_completion(20_000).unwrap();
+            let m = sched.metrics();
+            assert_eq!(m.completed, 10, "cp={n_ranks}");
+            assert!(m.evictions > 0, "cp={n_ranks}: expected preemptions");
+            // Replays decode again, but each request keeps one full output.
+            assert!(sched.outputs().iter().all(|(_, o)| o.len() == 60));
+        }
+    }
+
+    #[test]
     fn oom_with_nothing_evictable_is_a_typed_error() {
         // A single conversation larger than the whole pool: no other
         // session to evict, so the typed out-of-pages error surfaces.
