@@ -66,6 +66,7 @@ pub mod ring;
 pub mod schedule;
 mod session;
 mod spec;
+pub mod template;
 pub mod trace;
 
 pub use engine::{

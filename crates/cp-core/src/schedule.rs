@@ -3,35 +3,41 @@
 //! Each of the paper's ring algorithms (Alg. 2–4) follows a fixed,
 //! data-independent communication schedule: which peer every rank talks to
 //! at every step, which message variant it carries, and how many wire
-//! bytes move. This module *declares* those schedules as [`CommPlan`]
-//! data, derived from the same inputs the algorithms run on (byte counts
-//! come from [`Wire::wire_bytes`] on skeleton messages, so plan and live
-//! traffic agree by construction).
+//! bytes move. Each schedule family is declared once, as a
+//! [`SymTemplate`] in [`crate::template`]; this module owns the ring paths
+//! the templates evaluate over and the byte tables they are grounded on
+//! (derived from [`Wire::wire_bytes`] on skeleton messages, never
+//! hand-computed, so plan and live traffic agree by construction). A
+//! production plan is always "family template + byte tables + ground":
+//! [`ring_plan`] maps a ring schedule cell ([`RingSpec`]) to its family.
 //!
 //! The plans feed two static-analysis layers:
 //!
 //! * the `cp-verify` model checker proves deadlock-freedom, variant
-//!   agreement, ring-step ordering, and wire-byte conservation offline;
+//!   agreement, ring-step ordering, and wire-byte conservation — on the
+//!   symbolic templates for every `W`, and on grounded plans offline;
 //! * [`cp_comm::CheckedFabric`] enforces the same plan against live
 //!   traffic at runtime ([`run_ring_checked`]), sanitizer-style.
-//!
-//! To add a schedule for a new collective, declare a builder here that
-//! emits one [`cp_comm::RankPlan`] per rank and derives every byte count
-//! from the payload type's `Wire` impl — never hand-compute sizes.
-//! [`ring_plan`] maps a ring schedule cell ([`RingSpec`]) to its builder.
 
 use cp_attention::AttentionParams;
 pub use cp_comm::Topology;
-use cp_comm::{CheckedFabric, CommOp, CommPlan, Communicator, RankPlan, TrafficReport, Wire};
+use cp_comm::{CheckedFabric, CommPlan, Communicator, RankPlan, TrafficReport, Wire};
+use cp_kvcache::QuantizedKv;
+use cp_perf::RingDirection;
 
 use crate::error::to_comm_error;
 use crate::messages::{
     split_slot_vec, DecodeSlot, LocalSeq, QuantSeqKv, RingMsg, SeqKv, SeqQ, ELEM_BYTES,
 };
 use crate::spec::{RingAlgo, RingSpec, RingWire};
+use crate::template::{
+    all_gather_baseline_template, decode_bidi_template, decode_template, forward_template,
+    helix_layer_template, on_hier, pass_kv_bidi_template, pass_kv_chunked_template,
+    pass_kv_quant_bidi_template, pass_kv_quant_template, pass_kv_template, pass_q_bidi_template,
+    pass_q_template, tp_all_gather_template, tp_all_reduce_template, tp_only_decode_template,
+    SymTemplate,
+};
 use crate::CoreError;
-use cp_kvcache::QuantizedKv;
-use cp_perf::RingDirection;
 
 /// Which rank's block rank `rank` holds at ring step `step` (0-based), for
 /// a `world`-rank ring rotating towards `rank + 1`.
@@ -39,7 +45,7 @@ use cp_perf::RingDirection;
 /// Step 0 is before any exchange (every rank holds its own block); after
 /// each hop the block that originated at `origin` moves one rank forward,
 /// so `origin = (rank + world - step) mod world`. The ring algorithms and
-/// the plan builders both use this single definition, and pass-Q / decode
+/// plan grounding both use this single definition, and pass-Q / decode
 /// validate the `origin` tag of every received message against it.
 pub fn ring_origin(rank: usize, world: usize, step: usize) -> usize {
     (rank + world - (step % world)) % world
@@ -261,51 +267,6 @@ fn check_topology(topo: Topology, world: usize) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// Indexes into a per-rank table, converting an out-of-range index (an
-/// internal bug, since callers derive indices from `ring_origin`) into a
-/// typed error instead of a panic.
-fn at(v: &[usize], i: usize) -> Result<usize, CoreError> {
-    v.get(i).copied().ok_or_else(|| CoreError::Internal {
-        detail: format!("rank table of length {} has no entry {i}", v.len()),
-    })
-}
-
-/// The `W-1` ring `SendRecv` hops rank `rank` performs along `path`, with
-/// per-hop byte counts looked up by circulating-block origin. Generalizes
-/// the flat forward ring to any [`RingPath`]; [`ring_hops`] is the flat
-/// forward instantiation.
-fn path_hops(
-    rank: usize,
-    path: RingPath,
-    variant: &'static str,
-    bytes_by_origin: &[usize],
-) -> Result<Vec<CommOp>, CoreError> {
-    let world = path.world();
-    let mut ops = Vec::with_capacity(world.saturating_sub(1));
-    for j in 0..world.saturating_sub(1) {
-        ops.push(CommOp::SendRecv {
-            dst: path.send_peer(rank, j),
-            src: path.recv_peer(rank, j),
-            send_variant: variant,
-            recv_variant: variant,
-            send_bytes: at(bytes_by_origin, path.origin_at(rank, j))?,
-            recv_bytes: at(bytes_by_origin, path.origin_at(rank, j + 1))?,
-        });
-    }
-    Ok(ops)
-}
-
-/// The `N-1` ring `SendRecv` hops every rank performs, with per-hop byte
-/// counts looked up by circulating-block origin.
-fn ring_hops(
-    rank: usize,
-    world: usize,
-    variant: &'static str,
-    bytes_by_origin: &[usize],
-) -> Result<Vec<CommOp>, CoreError> {
-    path_hops(rank, RingPath::FlatFwd { world }, variant, bytes_by_origin)
-}
-
 /// Marks every destination rank that receives ring-hop posts from `rank`
 /// along any of `paths`. The fabric's channels are FIFO per directed rank
 /// pair, so an eager pass-Q `Out` return posted to such a destination
@@ -313,7 +274,7 @@ fn ring_hops(
 /// the same channel and be claimed by the receiver's hop `irecv`. The
 /// loops therefore stash returns to these destinations and flush them at
 /// the top of the final round — after the last hop post, before the final
-/// round's computes — and the plan builders mirror that op order exactly.
+/// round's computes — and template grounding applies the same rule.
 /// (On the flat forward ring the only hop destination receives its return
 /// in the final round anyway, so this rule leaves the classic pass-Q
 /// schedule untouched.)
@@ -336,59 +297,114 @@ pub(crate) fn defer_return(is_hop_dst: &[bool], dst: usize, j: usize, world: usi
     j + 1 < world && is_hop_dst.get(dst).copied().unwrap_or(false)
 }
 
-/// Interleaves the two directions' hop lists `[f0, r0, f1, r1, ...]` —
-/// the exact order the bidirectional loops post their `isend_irecv`
-/// pairs (forward first within each round).
-fn interleave_hops(fwd: Vec<CommOp>, rev: Vec<CommOp>) -> Vec<CommOp> {
-    let mut ops = Vec::with_capacity(fwd.len() + rev.len());
-    let mut r = rev.into_iter();
-    for f in fwd {
-        ops.push(f);
-        if let Some(op) = r.next() {
-            ops.push(op);
+/// One schedule family's template paired with the byte tables of one
+/// concrete input: grounding it declares the plan the loop is checked
+/// against.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Schedule {
+    /// The family, declared once in [`crate::template`].
+    pub template: SymTemplate,
+    /// One per-rank wire-byte table per [`SymTemplate::table_names`]
+    /// entry, derived from the payload types' [`Wire`] impls.
+    pub tables: Vec<Vec<usize>>,
+}
+
+impl Schedule {
+    /// Number of ranks the tables cover.
+    pub fn world(&self) -> usize {
+        self.tables.first().map_or(0, Vec::len)
+    }
+
+    /// The same schedule issued once per transformer layer
+    /// ([`forward_template`]).
+    pub fn stacked(self, layers: usize) -> Schedule {
+        Schedule {
+            template: forward_template(self.template, layers),
+            ..self
         }
     }
-    ops.extend(r);
-    ops
-}
 
-fn kv_skeleton(locals: &[LocalSeq]) -> RingMsg {
-    // Tensor clones are O(1) Arc handle copies; the skeleton exists only to
-    // ask the payload type for its own wire size.
-    RingMsg::Kv {
-        seqs: locals
-            .iter()
-            .map(|l| SeqKv {
-                k: l.k.clone(),
-                v: l.v.clone(),
-                pos: l.kv_pos.clone(),
-            })
-            .collect(),
+    /// Grounds the template on the tables.
+    ///
+    /// # Errors
+    ///
+    /// As [`SymTemplate::ground`].
+    pub fn ground(&self) -> Result<CommPlan, CoreError> {
+        self.template.ground(self.world(), &self.tables)
     }
 }
 
-fn q_skeleton(origin: usize, locals: &[LocalSeq]) -> RingMsg {
+/// Per-rank wire-byte tables: `f` meters rank `r`'s input into its `N`
+/// table entries, and table `i` collects entry `i` of every rank.
+fn rank_tables<T, const N: usize>(
+    ranks: &[T],
+    f: impl Fn(&T) -> Result<[usize; N], CoreError>,
+) -> Result<Vec<Vec<usize>>, CoreError> {
+    let mut tables = vec![Vec::with_capacity(ranks.len()); N];
+    for input in ranks {
+        for (t, bytes) in tables.iter_mut().zip(f(input)?) {
+            t.push(bytes);
+        }
+    }
+    Ok(tables)
+}
+
+/// Sums `f`'s `N` entries over one rank's sequences — wire bytes are
+/// additive over a message's sequences, so this meters the whole message.
+fn sum_seqs<const N: usize>(
+    locals: &[LocalSeq],
+    f: impl Fn(&LocalSeq) -> Result<[usize; N], CoreError>,
+) -> Result<[usize; N], CoreError> {
+    let mut sums = [0usize; N];
+    for l in locals {
+        for (s, bytes) in sums.iter_mut().zip(f(l)?) {
+            *s += bytes;
+        }
+    }
+    Ok(sums)
+}
+
+fn kv_bytes(seq: SeqKv) -> usize {
+    RingMsg::Kv { seqs: vec![seq] }.wire_bytes()
+}
+
+/// Per-rank wire bytes of each rank's whole KV block.
+fn kv_tables(locals: &[Vec<LocalSeq>]) -> Result<Vec<Vec<usize>>, CoreError> {
+    rank_tables(locals, |ls| sum_seqs(ls, |l| Ok([kv_bytes(l.kv())])))
+}
+
+/// Per-rank wire bytes of the two KV halves split at each sequence's
+/// token midpoint — the bidirectional halves and the depth-2 chunks.
+fn kv_half_tables(locals: &[Vec<LocalSeq>]) -> Result<Vec<Vec<usize>>, CoreError> {
+    rank_tables(locals, |ls| {
+        sum_seqs(ls, |l| {
+            let (a, b) = l.kv().split_halves()?;
+            Ok([kv_bytes(a), kv_bytes(b)])
+        })
+    })
+}
+
+fn kv_quant_bytes(seq: QuantSeqKv) -> usize {
+    RingMsg::KvQuant { seqs: vec![seq] }.wire_bytes()
+}
+
+fn q_bytes(seq: SeqQ) -> usize {
     RingMsg::Q {
-        origin,
-        seqs: locals
-            .iter()
-            .map(|l| SeqQ {
-                q: l.q.clone(),
-                pos: l.q_pos.clone(),
-            })
-            .collect(),
+        origin: 0,
+        seqs: vec![seq],
     }
+    .wire_bytes()
 }
 
-/// Wire bytes of the `Out` message carrying partial attention results for
-/// one origin rank's queries: per sequence, the partial output has the
-/// query's shape (`t × n_heads × head_dim`) and the LSE is `t × n_heads`.
-fn out_bytes(params: &AttentionParams, locals: &[LocalSeq]) -> usize {
-    let h = params.shape.n_heads();
-    locals
-        .iter()
-        .map(|l| (l.q.numel() + l.q_pos.len() * h) * ELEM_BYTES)
-        .sum()
+/// Wire bytes of the `Out` message carrying one query block's partial
+/// attention results: the partial output has the query's shape
+/// (`t × n_heads × head_dim`) and the LSE is `t × n_heads`.
+fn out_bytes(params: &AttentionParams, seq: &SeqQ) -> usize {
+    (seq.q.numel() + seq.pos.len() * params.shape.n_heads()) * ELEM_BYTES
+}
+
+fn decode_q_bytes(slots: Vec<Option<DecodeSlot>>) -> usize {
+    RingMsg::DecodeQ { origin: 0, slots }.wire_bytes()
 }
 
 /// Wire bytes of the `DecodeOut` message for one origin rank's slots:
@@ -403,847 +419,23 @@ fn decode_out_bytes(params: &AttentionParams, slots: &[Option<DecodeSlot>]) -> u
         .sum()
 }
 
-/// Declares the pass-KV prefill schedule (Algorithm 2) for all ranks.
-///
-/// `locals[r]` is rank `r`'s fused-batch input, exactly as passed to
-/// [`crate::ring::ring_pass_kv_prefill`]. The schedule is `N-1` ring
-/// `SendRecv` hops per rank, each carrying the currently visiting KV block
-/// (byte counts follow the block's origin around the ring).
-///
-/// # Errors
-///
-/// [`CoreError::BadRequest`] for an empty rank list.
-pub fn pass_kv_plan(locals: &[Vec<LocalSeq>]) -> Result<CommPlan, CoreError> {
-    let n = nonzero_world(locals.len())?;
-    let kv_bytes: Vec<usize> = locals
-        .iter()
-        .map(|ls| kv_skeleton(ls).wire_bytes())
-        .collect();
-    let ranks = (0..n)
-        .map(|r| {
-            Ok(RankPlan {
-                rank: r,
-                ops: ring_hops(r, n, "Kv", &kv_bytes)?,
-            })
-        })
-        .collect::<Result<_, CoreError>>()?;
-    Ok(CommPlan::from_ranks(ranks))
-}
-
-/// Declares the pass-Q prefill schedule (Algorithm 3, with the return hop
-/// double-buffered) for all ranks: `N-1` ring `SendRecv` hops carrying the
-/// visiting Q block, an eager lone `Send` of each visiting origin's
-/// partial outputs the moment its hop computes (posted *before* the next
-/// hop is waited on, so return traffic hides under remaining compute), and
-/// `N-1` trailing `Recv`s collecting this rank's own partials from every
-/// peer in ascending source order. Replaces a single exposed trailing
-/// `All2All` — same permutation, overlapped transport — at every depth.
-///
-/// # Errors
-///
-/// [`CoreError::BadRequest`] for an empty rank list.
-pub fn pass_q_plan(
-    params: &AttentionParams,
-    locals: &[Vec<LocalSeq>],
-) -> Result<CommPlan, CoreError> {
-    let n = nonzero_world(locals.len())?;
-    let q_bytes: Vec<usize> = locals
-        .iter()
-        .enumerate()
-        .map(|(r, ls)| q_skeleton(r, ls).wire_bytes())
-        .collect();
-    // Partial outputs for origin s's queries have the same size no matter
-    // which rank computed them, so every peer returns out_bytes(locals[r])
-    // to rank r.
-    let outs: Vec<usize> = locals.iter().map(|ls| out_bytes(params, ls)).collect();
-    let ranks = (0..n)
-        .map(|r| {
-            let mut hops = ring_hops(r, n, "Q", &q_bytes)?.into_iter();
-            let mut ops = Vec::with_capacity(3 * n.saturating_sub(1));
-            for j in 0..n {
-                // Loop iteration j first posts hop j+1's isend_irecv...
-                if let Some(hop) = hops.next() {
-                    ops.push(hop);
-                }
-                // ...then computes origin_j's partials and returns them
-                // eagerly (origin_0 == r: the own partial stays local).
-                let origin = ring_origin(r, n, j);
-                if origin != r {
-                    ops.push(CommOp::Send {
-                        dst: origin,
-                        variant: "Out",
-                        bytes: at(&outs, origin)?,
-                    });
-                }
-            }
-            for src in (0..n).filter(|&s| s != r) {
-                ops.push(CommOp::Recv {
-                    src,
-                    variant: "Out",
-                    bytes: at(&outs, r)?,
-                });
-            }
-            Ok(RankPlan { rank: r, ops })
-        })
-        .collect::<Result<_, CoreError>>()?;
-    Ok(CommPlan::from_ranks(ranks))
-}
-
-/// Declares the batched pass-Q decode schedule (Algorithm 4) for all
-/// ranks: `N-1` ring `SendRecv` hops carrying the visiting decode slots,
-/// then one `All2All` returning per-slot partial outputs.
-///
-/// # Errors
-///
-/// [`CoreError::BadRequest`] for an empty rank list.
-pub fn decode_plan(
-    params: &AttentionParams,
-    slots: &[Vec<Option<DecodeSlot>>],
-) -> Result<CommPlan, CoreError> {
-    let n = nonzero_world(slots.len())?;
-    let (dq_bytes, douts) = decode_byte_tables(params, slots);
-    let ranks = (0..n)
-        .map(|r| {
-            let mut ops = ring_hops(r, n, "DecodeQ", &dq_bytes)?;
-            ops.push(CommOp::AllToAll {
-                variant: "DecodeOut",
-                send_bytes: douts.clone(),
-                recv_bytes: vec![at(&douts, r)?; n],
-            });
-            Ok(RankPlan { rank: r, ops })
-        })
-        .collect::<Result<_, CoreError>>()?;
-    Ok(CommPlan::from_ranks(ranks))
-}
-
-/// Per-rank `DecodeQ` wire bytes and per-origin `DecodeOut` bytes for one
-/// decode step — the byte tables both decode-collective plans share.
-fn decode_byte_tables(
-    params: &AttentionParams,
-    slots: &[Vec<Option<DecodeSlot>>],
-) -> (Vec<usize>, Vec<usize>) {
-    let dq_bytes: Vec<usize> = slots
-        .iter()
-        .enumerate()
-        .map(|(r, s)| {
-            RingMsg::DecodeQ {
-                origin: r,
-                slots: s.clone(),
-            }
-            .wire_bytes()
-        })
-        .collect();
-    let douts: Vec<usize> = slots.iter().map(|s| decode_out_bytes(params, s)).collect();
-    (dq_bytes, douts)
-}
-
-/// Declares the Helix decode schedule
-/// ([`crate::ring::helix_decode`]) for all ranks: one `AllGather`
-/// replicating every rank's decode slots, then the same `All2All` of
-/// partial outputs as [`decode_plan`] — the `N-1` serialized ring hops
-/// collapse into a single collective carrying identical total bytes.
-///
-/// # Errors
-///
-/// [`CoreError::BadRequest`] for an empty rank list.
-pub fn helix_decode_plan(
-    params: &AttentionParams,
-    slots: &[Vec<Option<DecodeSlot>>],
-) -> Result<CommPlan, CoreError> {
-    let n = nonzero_world(slots.len())?;
-    let (dq_bytes, douts) = decode_byte_tables(params, slots);
-    let ranks = (0..n)
-        .map(|r| {
-            Ok(RankPlan {
-                rank: r,
-                ops: vec![
-                    CommOp::AllGather {
-                        variant: "DecodeQ",
-                        send_bytes: at(&dq_bytes, r)?,
-                        recv_bytes: dq_bytes.clone(),
-                    },
-                    CommOp::AllToAll {
-                        variant: "DecodeOut",
-                        send_bytes: douts.clone(),
-                        recv_bytes: vec![at(&douts, r)?; n],
-                    },
-                ],
-            })
-        })
-        .collect::<Result<_, CoreError>>()?;
-    Ok(CommPlan::from_ranks(ranks))
-}
-
-/// Declares the TP-only decode schedule
-/// ([`crate::ring::tp_only_decode`]) for all ranks: one `AllGather`
-/// moving every rank's per-sequence KV shards (`kv_bytes[r]` wire bytes
-/// from rank `r`), after which each slot's owner attends the full context
-/// locally — no output exchange. At `world == 1` the loop issues no
-/// collective at all, so the single rank's plan is empty.
-///
-/// # Errors
-///
-/// [`CoreError::BadRequest`] for an empty rank list.
-pub fn tp_only_decode_plan(kv_bytes: &[usize]) -> Result<CommPlan, CoreError> {
-    let n = nonzero_world(kv_bytes.len())?;
-    if n == 1 {
-        return Ok(CommPlan::from_ranks(vec![RankPlan {
-            rank: 0,
-            ops: Vec::new(),
-        }]));
-    }
-    all_gather_plan("Kv", kv_bytes)
-}
-
-/// Declares one transformer layer of cp-serve's Helix decode: the
-/// attention collectives of [`helix_decode_plan`] followed by the TP
-/// reshard — an `AllGather` replicating each owner's merged attention
-/// rows (`Act` payloads of `real_slots × D` f32 rows) and the two
-/// row-parallel `AllReduce`s (out projection, then the FFN down
-/// projection) each summing a full `[batch, D]` partial per rank. Stack
-/// with [`stacked_plan`] for a whole forward.
-///
-/// # Errors
-///
-/// [`CoreError::BadRequest`] for an empty rank list.
-pub fn helix_layer_plan(
-    params: &AttentionParams,
-    slots: &[Vec<Option<DecodeSlot>>],
-    model_dim: usize,
-) -> Result<CommPlan, CoreError> {
-    let n = nonzero_world(slots.len())?;
-    let (dq_bytes, douts) = decode_byte_tables(params, slots);
-    let act_bytes: Vec<usize> = slots
-        .iter()
-        .map(|s| s.iter().flatten().count() * model_dim * ELEM_BYTES)
-        .collect();
-    let batch_rows: usize = act_bytes.iter().sum();
-    let reduce_bytes = vec![batch_rows; n];
-    let ranks = (0..n)
-        .map(|r| {
-            Ok(RankPlan {
-                rank: r,
-                ops: vec![
-                    CommOp::AllGather {
-                        variant: "DecodeQ",
-                        send_bytes: at(&dq_bytes, r)?,
-                        recv_bytes: dq_bytes.clone(),
-                    },
-                    CommOp::AllToAll {
-                        variant: "DecodeOut",
-                        send_bytes: douts.clone(),
-                        recv_bytes: vec![at(&douts, r)?; n],
-                    },
-                    CommOp::AllGather {
-                        variant: "Act",
-                        send_bytes: at(&act_bytes, r)?,
-                        recv_bytes: act_bytes.clone(),
-                    },
-                    CommOp::AllReduce {
-                        variant: "Act",
-                        send_bytes: batch_rows,
-                        recv_bytes: reduce_bytes.clone(),
-                    },
-                    CommOp::AllReduce {
-                        variant: "Act",
-                        send_bytes: batch_rows,
-                        recv_bytes: reduce_bytes.clone(),
-                    },
-                ],
-            })
-        })
-        .collect::<Result<_, CoreError>>()?;
-    Ok(CommPlan::from_ranks(ranks))
-}
-
-/// Per-rank wire bytes of the two bidirectional KV halves: element `r` is
-/// `(A, B)` for rank `r`'s block split at the per-sequence token midpoint.
-fn kv_half_bytes(locals: &[Vec<LocalSeq>]) -> Result<(Vec<usize>, Vec<usize>), CoreError> {
-    let mut a = Vec::with_capacity(locals.len());
-    let mut b = Vec::with_capacity(locals.len());
-    for ls in locals {
-        let (mut ab, mut bb) = (0usize, 0usize);
-        for l in ls {
-            let kv = SeqKv {
-                k: l.k.clone(),
-                v: l.v.clone(),
-                pos: l.kv_pos.clone(),
-            };
-            let (ha, hb) = kv.split_halves()?;
-            ab += RingMsg::Kv { seqs: vec![ha] }.wire_bytes();
-            bb += RingMsg::Kv { seqs: vec![hb] }.wire_bytes();
-        }
-        a.push(ab);
-        b.push(bb);
-    }
-    Ok((a, b))
-}
-
-/// Per-rank wire bytes of the two bidirectional Q halves, split at the
-/// per-sequence query-row midpoint.
-fn q_half_bytes(locals: &[Vec<LocalSeq>]) -> Result<(Vec<usize>, Vec<usize>), CoreError> {
-    let mut a = Vec::with_capacity(locals.len());
-    let mut b = Vec::with_capacity(locals.len());
-    for ls in locals {
-        let (mut ab, mut bb) = (0usize, 0usize);
-        for l in ls {
-            let sq = SeqQ {
-                q: l.q.clone(),
-                pos: l.q_pos.clone(),
-            };
-            let (ha, hb) = sq.split_halves()?;
-            ab += ha.q.numel() * ELEM_BYTES;
-            bb += hb.q.numel() * ELEM_BYTES;
-        }
-        a.push(ab);
-        b.push(bb);
-    }
-    Ok((a, b))
-}
-
-/// Per-rank wire bytes of the `Out` messages carrying partials for each
-/// bidirectional Q half of rank `r`'s queries.
-fn out_half_bytes(
-    params: &AttentionParams,
-    locals: &[Vec<LocalSeq>],
-) -> Result<(Vec<usize>, Vec<usize>), CoreError> {
-    let h = params.shape.n_heads();
-    let mut a = Vec::with_capacity(locals.len());
-    let mut b = Vec::with_capacity(locals.len());
-    for ls in locals {
-        let (mut ab, mut bb) = (0usize, 0usize);
-        for l in ls {
-            let sq = SeqQ {
-                q: l.q.clone(),
-                pos: l.q_pos.clone(),
-            };
-            let (ha, hb) = sq.split_halves()?;
-            ab += (ha.q.numel() + ha.pos.len() * h) * ELEM_BYTES;
-            bb += (hb.q.numel() + hb.pos.len() * h) * ELEM_BYTES;
-        }
-        a.push(ab);
-        b.push(bb);
-    }
-    Ok((a, b))
-}
-
-/// Declares the unidirectional pass-KV prefill schedule over an arbitrary
-/// [`RingLayout`] — [`pass_kv_plan`] is the flat instantiation, the
-/// hierarchical one keeps `W-N` of the `W-1` hops on intra-node links.
-///
-/// # Errors
-///
-/// [`CoreError::BadRequest`] for an empty rank list or a topology that
-/// does not cover the rank count.
-pub fn pass_kv_plan_on(
-    locals: &[Vec<LocalSeq>],
-    layout: RingLayout,
-) -> Result<CommPlan, CoreError> {
-    let n = nonzero_world(locals.len())?;
-    let fwd = layout.fwd(n)?;
-    let kv_bytes: Vec<usize> = locals
-        .iter()
-        .map(|ls| kv_skeleton(ls).wire_bytes())
-        .collect();
-    let ranks = (0..n)
-        .map(|r| {
-            Ok(RankPlan {
-                rank: r,
-                ops: path_hops(r, fwd, "Kv", &kv_bytes)?,
-            })
-        })
-        .collect::<Result<_, CoreError>>()?;
-    Ok(CommPlan::from_ranks(ranks))
-}
-
-/// Declares the bidirectional pass-KV prefill schedule (TokenRing-style,
-/// arXiv:2412.20501) over a [`RingLayout`]: each rank's KV block splits
-/// at the token midpoint, the A half circulating forward and the B half
-/// in reverse simultaneously, so per-link bytes per step halve. Each
-/// round posts the forward hop then the reverse hop, exactly as
-/// the bidirectional [`crate::ring::ring_pass_kv_prefill`] issues them.
-///
-/// # Errors
-///
-/// As [`pass_kv_plan_on`].
-pub fn pass_kv_bidi_plan(
-    locals: &[Vec<LocalSeq>],
-    layout: RingLayout,
-) -> Result<CommPlan, CoreError> {
-    let n = nonzero_world(locals.len())?;
-    let fwd = layout.fwd(n)?;
-    let rev = layout.rev(n)?;
-    let (a_bytes, b_bytes) = kv_half_bytes(locals)?;
-    let ranks = (0..n)
-        .map(|r| {
-            Ok(RankPlan {
-                rank: r,
-                ops: interleave_hops(
-                    path_hops(r, fwd, "Kv", &a_bytes)?,
-                    path_hops(r, rev, "Kv", &b_bytes)?,
-                ),
-            })
-        })
-        .collect::<Result<_, CoreError>>()?;
-    Ok(CommPlan::from_ranks(ranks))
-}
-
-/// Declares the depth-2 pipelined pass-KV prefill schedule
-/// ([`crate::ring::ring_pass_kv_prefill`] at depth 2): each hop's payload
-/// splits into two chunks that both travel forward as separate messages,
-/// and each chunk is forwarded the moment it arrives — before its sibling
-/// lands (cut-through). On a serialized link this roughly halves the
-/// store-and-forward pipeline latency in bandwidth-bound regimes.
-///
-/// # Errors
-///
-/// [`CoreError::BadRequest`] for an empty rank list.
-pub fn pass_kv_chunked_plan(locals: &[Vec<LocalSeq>]) -> Result<CommPlan, CoreError> {
-    let n = nonzero_world(locals.len())?;
-    let (h1_bytes, h2_bytes) = kv_half_bytes(locals)?;
-    let ranks = (0..n)
-        .map(|r| {
-            Ok(RankPlan {
-                rank: r,
-                ops: interleave_hops(
-                    ring_hops(r, n, "Kv", &h1_bytes)?,
-                    ring_hops(r, n, "Kv", &h2_bytes)?,
-                ),
-            })
-        })
-        .collect::<Result<_, CoreError>>()?;
-    Ok(CommPlan::from_ranks(ranks))
-}
-
-/// A zero-code [`RingMsg::KvQuant`] skeleton with the byte geometry of
-/// `locals`' KV shards: `l · n_kv · d` one-byte codes plus `l · n_kv`
-/// f32 scales per tensor. Built from parts (no quantization arithmetic) —
-/// it exists only to ask the payload type for its own wire size.
-fn kv_quant_skeleton(locals: &[LocalSeq]) -> Result<RingMsg, CoreError> {
-    let seqs = locals
-        .iter()
-        .map(|l| {
-            let shape = l.k.shape();
-            let (t, h, d) = (
-                shape.first().copied().unwrap_or(0),
-                shape.get(1).copied().unwrap_or(0),
-                shape.get(2).copied().unwrap_or(0),
-            );
-            let mk = || {
-                QuantizedKv::from_parts(vec![0i8; t * h * d], vec![1.0f32; t * h], t, h, d)
-                    .map_err(CoreError::from)
-            };
-            Ok(QuantSeqKv {
-                k: mk()?,
-                v: mk()?,
-                pos: l.kv_pos.clone(),
-            })
-        })
-        .collect::<Result<Vec<_>, CoreError>>()?;
-    Ok(RingMsg::KvQuant { seqs })
-}
-
-/// Per-rank wire bytes of the two bidirectional compressed KV halves —
-/// the quantized analogue of [`kv_half_bytes`], derived from the same
-/// `split_halves` the loop itself uses.
-fn kv_quant_half_bytes(locals: &[Vec<LocalSeq>]) -> Result<(Vec<usize>, Vec<usize>), CoreError> {
-    let mut a = Vec::with_capacity(locals.len());
-    let mut b = Vec::with_capacity(locals.len());
-    for ls in locals {
-        let (mut ab, mut bb) = (0usize, 0usize);
-        let skeleton = kv_quant_skeleton(ls)?;
-        if let RingMsg::KvQuant { seqs } = skeleton {
-            for q in seqs {
-                let (ha, hb) = q.split_halves()?;
-                ab += RingMsg::KvQuant { seqs: vec![ha] }.wire_bytes();
-                bb += RingMsg::KvQuant { seqs: vec![hb] }.wire_bytes();
-            }
-        }
-        a.push(ab);
-        b.push(bb);
-    }
-    Ok((a, b))
-}
-
-/// Declares the compressed unidirectional pass-KV prefill schedule
-/// ([`crate::ring::ring_pass_kv_prefill`] on the INT8 wire) over a
-/// [`RingLayout`]: hop-for-hop the schedule of [`pass_kv_plan_on`], each
-/// hop carrying the INT8 `KvQuant` payload — `2·l·n_kv·(d + 4)` bytes per
-/// block instead of the f32 `2·l·n_kv·d·4`.
-///
-/// # Errors
-///
-/// As [`pass_kv_plan_on`].
-pub fn pass_kv_quant_plan_on(
-    locals: &[Vec<LocalSeq>],
-    layout: RingLayout,
-) -> Result<CommPlan, CoreError> {
-    let n = nonzero_world(locals.len())?;
-    let fwd = layout.fwd(n)?;
-    let kv_bytes: Vec<usize> = locals
-        .iter()
-        .map(|ls| kv_quant_skeleton(ls).map(|m| m.wire_bytes()))
-        .collect::<Result<_, CoreError>>()?;
-    let ranks = (0..n)
-        .map(|r| {
-            Ok(RankPlan {
-                rank: r,
-                ops: path_hops(r, fwd, "KvQuant", &kv_bytes)?,
-            })
-        })
-        .collect::<Result<_, CoreError>>()?;
-    Ok(CommPlan::from_ranks(ranks))
-}
-
-/// Declares the compressed bidirectional pass-KV prefill schedule
-/// (bidirectional [`crate::ring::ring_pass_kv_prefill`] on the INT8 wire) over a
-/// [`RingLayout`]: the hop pattern of [`pass_kv_bidi_plan`] with INT8
-/// half payloads in both directions.
-///
-/// # Errors
-///
-/// As [`pass_kv_plan_on`].
-pub fn pass_kv_quant_bidi_plan(
-    locals: &[Vec<LocalSeq>],
-    layout: RingLayout,
-) -> Result<CommPlan, CoreError> {
-    let n = nonzero_world(locals.len())?;
-    let fwd = layout.fwd(n)?;
-    let rev = layout.rev(n)?;
-    let (a_bytes, b_bytes) = kv_quant_half_bytes(locals)?;
-    let ranks = (0..n)
-        .map(|r| {
-            Ok(RankPlan {
-                rank: r,
-                ops: interleave_hops(
-                    path_hops(r, fwd, "KvQuant", &a_bytes)?,
-                    path_hops(r, rev, "KvQuant", &b_bytes)?,
-                ),
-            })
-        })
-        .collect::<Result<_, CoreError>>()?;
-    Ok(CommPlan::from_ranks(ranks))
-}
-
-/// Declares the unidirectional pass-Q prefill schedule over an arbitrary
-/// [`RingLayout`] — [`pass_q_plan`] is the flat instantiation. Eager
-/// `Out` returns target the layout's visiting origin at each round.
-///
-/// # Errors
-///
-/// As [`pass_kv_plan_on`].
-pub fn pass_q_plan_on(
-    params: &AttentionParams,
-    locals: &[Vec<LocalSeq>],
-    layout: RingLayout,
-) -> Result<CommPlan, CoreError> {
-    let n = nonzero_world(locals.len())?;
-    let fwd = layout.fwd(n)?;
-    let q_bytes: Vec<usize> = locals
-        .iter()
-        .enumerate()
-        .map(|(r, ls)| q_skeleton(r, ls).wire_bytes())
-        .collect();
-    let outs: Vec<usize> = locals.iter().map(|ls| out_bytes(params, ls)).collect();
-    let ranks = (0..n)
-        .map(|r| {
-            let is_hop_dst = hop_channels(r, &[fwd]);
-            let mut hops = path_hops(r, fwd, "Q", &q_bytes)?.into_iter();
-            let mut ops = Vec::with_capacity(3 * n.saturating_sub(1));
-            let mut deferred: Vec<CommOp> = Vec::new();
-            for j in 0..n {
-                if j + 1 == n {
-                    // Flush point: returns stashed to keep hop channels
-                    // clean post here, after the last hop, in compute
-                    // order (see `hop_channels`).
-                    ops.append(&mut deferred);
-                }
-                if let Some(hop) = hops.next() {
-                    ops.push(hop);
-                }
-                let origin = fwd.origin_at(r, j);
-                if origin != r {
-                    let send = CommOp::Send {
-                        dst: origin,
-                        variant: "Out",
-                        bytes: at(&outs, origin)?,
-                    };
-                    if defer_return(&is_hop_dst, origin, j, n) {
-                        deferred.push(send);
-                    } else {
-                        ops.push(send);
-                    }
-                }
-            }
-            for src in (0..n).filter(|&s| s != r) {
-                ops.push(CommOp::Recv {
-                    src,
-                    variant: "Out",
-                    bytes: at(&outs, r)?,
-                });
-            }
-            Ok(RankPlan { rank: r, ops })
-        })
-        .collect::<Result<_, CoreError>>()?;
-    Ok(CommPlan::from_ranks(ranks))
-}
-
-/// Declares the bidirectional pass-Q prefill schedule over a
-/// [`RingLayout`]: each rank's query rows split at the midpoint, the A
-/// half circulating forward and the B half in reverse. Every round posts
-/// the forward hop, the reverse hop, then the two eager `Out` returns (A
-/// first). The trailing collection receives **two** `Out` messages per
-/// peer; their order on each FIFO channel is fixed by which half the
-/// peer hosted first (A before B on a tie, matching the loop's
-/// post order within a round) — exactly how
-/// the bidirectional [`crate::ring::ring_pass_q_prefill`] disambiguates them.
-///
-/// # Errors
-///
-/// As [`pass_kv_plan_on`].
-pub fn pass_q_bidi_plan(
-    params: &AttentionParams,
-    locals: &[Vec<LocalSeq>],
-    layout: RingLayout,
-) -> Result<CommPlan, CoreError> {
-    let n = nonzero_world(locals.len())?;
-    let fwd = layout.fwd(n)?;
-    let rev = layout.rev(n)?;
-    let (qa_bytes, qb_bytes) = q_half_bytes(locals)?;
-    let (oa_bytes, ob_bytes) = out_half_bytes(params, locals)?;
-    let step_err = |host: usize, origin: usize| CoreError::Internal {
-        detail: format!("ring path never routes rank {origin}'s block through rank {host}"),
+/// A zero-code [`QuantSeqKv`] with the byte geometry of `l`'s KV shard:
+/// `t · n_kv · d` one-byte codes plus `t · n_kv` f32 scales per tensor.
+/// Built from parts (no quantization arithmetic) — it exists only to ask
+/// the payload type for its own wire size.
+fn kv_quant_skeleton(l: &LocalSeq) -> Result<QuantSeqKv, CoreError> {
+    let shape = l.k.shape();
+    let dim = |i: usize| shape.get(i).copied().unwrap_or(0);
+    let (t, h, d) = (dim(0), dim(1), dim(2));
+    let codes = || {
+        QuantizedKv::from_parts(vec![0i8; t * h * d], vec![1.0f32; t * h], t, h, d)
+            .map_err(CoreError::from)
     };
-    let ranks = (0..n)
-        .map(|r| {
-            let is_hop_dst = hop_channels(r, &[fwd, rev]);
-            let mut f_hops = path_hops(r, fwd, "Q", &qa_bytes)?.into_iter();
-            let mut r_hops = path_hops(r, rev, "Q", &qb_bytes)?.into_iter();
-            let mut ops = Vec::with_capacity(6 * n.saturating_sub(1));
-            let mut deferred: Vec<CommOp> = Vec::new();
-            for j in 0..n {
-                if j + 1 == n {
-                    // Flush point for returns targeting still-active hop
-                    // channels (see `hop_channels`): after the last hop
-                    // post, in compute order, so every channel's FIFO
-                    // order matches the trailing `Recv` declarations.
-                    ops.append(&mut deferred);
-                }
-                if let Some(hop) = f_hops.next() {
-                    ops.push(hop);
-                }
-                if let Some(hop) = r_hops.next() {
-                    ops.push(hop);
-                }
-                let origin_a = fwd.origin_at(r, j);
-                if origin_a != r {
-                    let send = CommOp::Send {
-                        dst: origin_a,
-                        variant: "Out",
-                        bytes: at(&oa_bytes, origin_a)?,
-                    };
-                    if defer_return(&is_hop_dst, origin_a, j, n) {
-                        deferred.push(send);
-                    } else {
-                        ops.push(send);
-                    }
-                }
-                let origin_b = rev.origin_at(r, j);
-                if origin_b != r {
-                    let send = CommOp::Send {
-                        dst: origin_b,
-                        variant: "Out",
-                        bytes: at(&ob_bytes, origin_b)?,
-                    };
-                    if defer_return(&is_hop_dst, origin_b, j, n) {
-                        deferred.push(send);
-                    } else {
-                        ops.push(send);
-                    }
-                }
-            }
-            for src in (0..n).filter(|&s| s != r) {
-                // src posts our A-half partials at the round it hosts our
-                // A half and our B-half partials at the round it hosts our
-                // B half; its channel to us is FIFO, so the earlier host
-                // round arrives first (A first on a tie: the loop posts
-                // the forward return before the reverse one each round).
-                let tau_a = fwd.step_of(src, r).ok_or_else(|| step_err(src, r))?;
-                let tau_b = rev.step_of(src, r).ok_or_else(|| step_err(src, r))?;
-                let (first, second) = if tau_a <= tau_b {
-                    (at(&oa_bytes, r)?, at(&ob_bytes, r)?)
-                } else {
-                    (at(&ob_bytes, r)?, at(&oa_bytes, r)?)
-                };
-                ops.push(CommOp::Recv {
-                    src,
-                    variant: "Out",
-                    bytes: first,
-                });
-                ops.push(CommOp::Recv {
-                    src,
-                    variant: "Out",
-                    bytes: second,
-                });
-            }
-            Ok(RankPlan { rank: r, ops })
-        })
-        .collect::<Result<_, CoreError>>()?;
-    Ok(CommPlan::from_ranks(ranks))
-}
-
-/// Declares the bidirectional batched pass-Q decode schedule: the slot
-/// vector splits at the midpoint, the two halves counter-rotate on the
-/// flat ring, and the same single `All2All` as [`decode_plan`] returns
-/// the re-joined per-origin partials.
-///
-/// # Errors
-///
-/// [`CoreError::BadRequest`] for an empty rank list.
-pub fn decode_bidi_plan(
-    params: &AttentionParams,
-    slots: &[Vec<Option<DecodeSlot>>],
-) -> Result<CommPlan, CoreError> {
-    let n = nonzero_world(slots.len())?;
-    let fwd = RingPath::FlatFwd { world: n };
-    let rev = RingPath::FlatRev { world: n };
-    let mut a_bytes = Vec::with_capacity(n);
-    let mut b_bytes = Vec::with_capacity(n);
-    for (r, s) in slots.iter().enumerate() {
-        let (a, b) = split_slot_vec(s);
-        a_bytes.push(
-            RingMsg::DecodeQ {
-                origin: r,
-                slots: a,
-            }
-            .wire_bytes(),
-        );
-        b_bytes.push(
-            RingMsg::DecodeQ {
-                origin: r,
-                slots: b,
-            }
-            .wire_bytes(),
-        );
-    }
-    let douts: Vec<usize> = slots.iter().map(|s| decode_out_bytes(params, s)).collect();
-    let ranks = (0..n)
-        .map(|r| {
-            let mut ops = interleave_hops(
-                path_hops(r, fwd, "DecodeQ", &a_bytes)?,
-                path_hops(r, rev, "DecodeQ", &b_bytes)?,
-            );
-            ops.push(CommOp::AllToAll {
-                variant: "DecodeOut",
-                send_bytes: douts.clone(),
-                recv_bytes: vec![at(&douts, r)?; n],
-            });
-            Ok(RankPlan { rank: r, ops })
-        })
-        .collect::<Result<_, CoreError>>()?;
-    Ok(CommPlan::from_ranks(ranks))
-}
-
-/// Declares the all-gather pass-KV baseline schedule
-/// ([`crate::baseline::all_gather_pass_kv_prefill`], Llama3-training style,
-/// §3.5.2) for all ranks: a single `AllGather` per rank broadcasting the
-/// rank's own KV shard and collecting every peer's. Byte-for-byte it moves
-/// the ring schedule's total volume, but all of it sits un-overlapped
-/// before any compute starts.
-///
-/// # Errors
-///
-/// [`CoreError::BadRequest`] for an empty rank list.
-pub fn all_gather_pass_kv_plan(locals: &[Vec<LocalSeq>]) -> Result<CommPlan, CoreError> {
-    let n = nonzero_world(locals.len())?;
-    let kv_bytes: Vec<usize> = locals
-        .iter()
-        .map(|ls| kv_skeleton(ls).wire_bytes())
-        .collect();
-    let ranks = (0..n)
-        .map(|r| {
-            Ok(RankPlan {
-                rank: r,
-                ops: vec![CommOp::AllGather {
-                    variant: "Kv",
-                    send_bytes: at(&kv_bytes, r)?,
-                    recv_bytes: kv_bytes.clone(),
-                }],
-            })
-        })
-        .collect::<Result<_, CoreError>>()?;
-    Ok(CommPlan::from_ranks(ranks))
-}
-
-/// Declares a single-collective `AllReduce` schedule: every rank
-/// contributes `bytes[r]` wire bytes of `variant` payload and collects
-/// every peer's contribution for the deterministic fold. This is the plan
-/// behind cp-model's tensor-parallel column→row pairs (Table 2's AllReduce
-/// of `[t, D]` activations); callers derive `bytes` from the payload's
-/// `Wire` impl on a skeleton value.
-///
-/// # Errors
-///
-/// [`CoreError::BadRequest`] for an empty rank list.
-pub fn all_reduce_plan(variant: &'static str, bytes: &[usize]) -> Result<CommPlan, CoreError> {
-    let n = nonzero_world(bytes.len())?;
-    let ranks = (0..n)
-        .map(|r| {
-            Ok(RankPlan {
-                rank: r,
-                ops: vec![CommOp::AllReduce {
-                    variant,
-                    send_bytes: at(bytes, r)?,
-                    recv_bytes: bytes.to_vec(),
-                }],
-            })
-        })
-        .collect::<Result<_, CoreError>>()?;
-    Ok(CommPlan::from_ranks(ranks))
-}
-
-/// Declares a single-collective `AllGather` schedule: every rank
-/// broadcasts `bytes[r]` wire bytes of `variant` payload and collects one
-/// payload from each peer. Used by cp-model's TP attention to reassemble
-/// per-head outputs (§4.2.2).
-///
-/// # Errors
-///
-/// [`CoreError::BadRequest`] for an empty rank list.
-pub fn all_gather_plan(variant: &'static str, bytes: &[usize]) -> Result<CommPlan, CoreError> {
-    let n = nonzero_world(bytes.len())?;
-    let ranks = (0..n)
-        .map(|r| {
-            Ok(RankPlan {
-                rank: r,
-                ops: vec![CommOp::AllGather {
-                    variant,
-                    send_bytes: at(bytes, r)?,
-                    recv_bytes: bytes.to_vec(),
-                }],
-            })
-        })
-        .collect::<Result<_, CoreError>>()?;
-    Ok(CommPlan::from_ranks(ranks))
-}
-
-/// Repeats one layer's per-rank schedule `layers` times: a multi-layer
-/// forward issues exactly one ring schedule per transformer layer inside a
-/// single fabric session, so the session plan is the layer plan stacked.
-/// Shared by cp-serve's engine and cp-model's full-stack forward plan.
-pub fn stacked_plan(layer_plan: CommPlan, layers: usize) -> CommPlan {
-    let ranks = layer_plan
-        .ranks
-        .into_iter()
-        .map(|rp| {
-            let mut ops = Vec::with_capacity(rp.ops.len() * layers);
-            for _ in 0..layers {
-                ops.extend(rp.ops.iter().cloned());
-            }
-            RankPlan { rank: rp.rank, ops }
-        })
-        .collect();
-    CommPlan::from_ranks(ranks)
+    Ok(QuantSeqKv {
+        k: codes()?,
+        v: codes()?,
+        pos: l.kv_pos.clone(),
+    })
 }
 
 /// One ring algorithm's per-rank inputs, exactly as its loop in
@@ -1258,20 +450,23 @@ pub enum RingInput<'a> {
     Decode(&'a [Vec<Option<DecodeSlot>>]),
 }
 
-/// Declares the schedule the ring loop issues for `input` on the cell
-/// `spec` — the one place a cell is matched to its plan builder. Depth 0
-/// and depth 1 post the same ops in the same order, so they share a plan.
+/// The family and byte tables of the schedule the ring loop issues for
+/// `input` on the cell `spec` — the one place a cell is matched to its
+/// template. Depth 0 and depth 1 post the same ops in the same order, so
+/// they share a family; depth 2 circulates each block as two forward
+/// chunks; a bidirectional cell splits every payload into counter-rotating
+/// halves; a hierarchical layout grounds the family on [`on_hier`].
 ///
 /// # Errors
 ///
 /// [`CoreError::BadRequest`] for an empty rank list, a topology that does
 /// not cover the rank count, or a cell the loops do not support (the same
 /// cells [`crate::ring`] rejects).
-pub fn ring_plan(
+pub fn ring_schedule(
     input: RingInput<'_>,
     spec: &RingSpec,
     params: &AttentionParams,
-) -> Result<CommPlan, CoreError> {
+) -> Result<Schedule, CoreError> {
     let (algo, world) = match input {
         RingInput::PassKv(locals) => (RingAlgo::PassKv, locals.len()),
         RingInput::PassQ(locals) => (RingAlgo::PassQ, locals.len()),
@@ -1279,19 +474,186 @@ pub fn ring_plan(
     };
     spec.lanes(algo, nonzero_world(world)?)?;
     let bidi = spec.direction == RingDirection::Bidi;
-    match input {
+    let (template, tables) = match input {
         RingInput::PassKv(locals) => match (spec.wire, bidi) {
-            (RingWire::F32, false) if spec.depth == 2 => pass_kv_chunked_plan(locals),
-            (RingWire::F32, false) => pass_kv_plan_on(locals, spec.layout),
-            (RingWire::F32, true) => pass_kv_bidi_plan(locals, spec.layout),
-            (RingWire::Int8, false) => pass_kv_quant_plan_on(locals, spec.layout),
-            (RingWire::Int8, true) => pass_kv_quant_bidi_plan(locals, spec.layout),
+            (RingWire::F32, false) if spec.depth == 2 => {
+                (pass_kv_chunked_template(), kv_half_tables(locals)?)
+            }
+            (RingWire::F32, false) => (pass_kv_template(), kv_tables(locals)?),
+            (RingWire::F32, true) => (pass_kv_bidi_template(), kv_half_tables(locals)?),
+            (RingWire::Int8, false) => (
+                pass_kv_quant_template(),
+                rank_tables(locals, |ls| {
+                    sum_seqs(ls, |l| Ok([kv_quant_bytes(kv_quant_skeleton(l)?)]))
+                })?,
+            ),
+            (RingWire::Int8, true) => (
+                pass_kv_quant_bidi_template(),
+                rank_tables(locals, |ls| {
+                    sum_seqs(ls, |l| {
+                        let (a, b) = kv_quant_skeleton(l)?.split_halves()?;
+                        Ok([kv_quant_bytes(a), kv_quant_bytes(b)])
+                    })
+                })?,
+            ),
         },
-        RingInput::PassQ(locals) if bidi => pass_q_bidi_plan(params, locals, spec.layout),
-        RingInput::PassQ(locals) => pass_q_plan_on(params, locals, spec.layout),
-        RingInput::Decode(slots) if bidi => decode_bidi_plan(params, slots),
-        RingInput::Decode(slots) => decode_plan(params, slots),
+        RingInput::PassQ(locals) if bidi => (
+            pass_q_bidi_template(),
+            rank_tables(locals, |ls| {
+                sum_seqs(ls, |l| {
+                    let (a, b) = l.queries().split_halves()?;
+                    let (out_a, out_b) = (out_bytes(params, &a), out_bytes(params, &b));
+                    Ok([q_bytes(a), q_bytes(b), out_a, out_b])
+                })
+            })?,
+        ),
+        RingInput::PassQ(locals) => (
+            pass_q_template(),
+            rank_tables(locals, |ls| {
+                sum_seqs(ls, |l| {
+                    let q = l.queries();
+                    let out = out_bytes(params, &q);
+                    Ok([q_bytes(q), out])
+                })
+            })?,
+        ),
+        RingInput::Decode(slots) if bidi => (
+            decode_bidi_template(),
+            rank_tables(slots, |s| {
+                let (a, b) = split_slot_vec(s);
+                Ok([
+                    decode_q_bytes(a),
+                    decode_q_bytes(b),
+                    decode_out_bytes(params, s),
+                ])
+            })?,
+        ),
+        RingInput::Decode(slots) => (decode_template(), decode_tables(params, slots)?),
+    };
+    let template = match spec.layout {
+        RingLayout::Flat => template,
+        RingLayout::Hier(topo) => on_hier(template, topo.ranks_per_node),
+    };
+    Ok(Schedule { template, tables })
+}
+
+/// Declares the schedule the ring loop issues for `input` on the cell
+/// `spec`: [`ring_schedule`]'s family grounded on its byte tables.
+///
+/// # Errors
+///
+/// As [`ring_schedule`].
+pub fn ring_plan(
+    input: RingInput<'_>,
+    spec: &RingSpec,
+    params: &AttentionParams,
+) -> Result<CommPlan, CoreError> {
+    ring_schedule(input, spec, params)?.ground()
+}
+
+/// Per-rank `DecodeQ` and `DecodeOut` bytes of one decode step — the
+/// tables the pass-Q decode ring and Helix decode share.
+fn decode_tables(
+    params: &AttentionParams,
+    slots: &[Vec<Option<DecodeSlot>>],
+) -> Result<Vec<Vec<usize>>, CoreError> {
+    rank_tables(slots, |s| {
+        Ok([decode_q_bytes(s.clone()), decode_out_bytes(params, s)])
+    })
+}
+
+/// Declares `layers` transformer layers of cp-serve's Helix decode
+/// ([`helix_layer_template`]): per layer, the attention collectives of
+/// [`crate::ring::helix_decode`] followed by the TP reshard — an
+/// `AllGather` replicating each owner's merged attention rows (`Act`
+/// payloads of `real_slots × D` f32 rows) and the two row-parallel
+/// `AllReduce`s each summing a full `[batch, D]` partial per rank.
+///
+/// # Errors
+///
+/// [`CoreError::BadRequest`] for an empty rank list.
+pub fn helix_layer_plan(
+    params: &AttentionParams,
+    slots: &[Vec<Option<DecodeSlot>>],
+    model_dim: usize,
+    layers: usize,
+) -> Result<CommPlan, CoreError> {
+    let world = nonzero_world(slots.len())?;
+    let mut tables = decode_tables(params, slots)?;
+    let act: Vec<usize> = slots
+        .iter()
+        .map(|s| s.iter().flatten().count() * model_dim * ELEM_BYTES)
+        .collect();
+    let batch_rows = act.iter().sum();
+    tables.extend([act, vec![batch_rows; world]]);
+    Schedule {
+        template: helix_layer_template(),
+        tables,
     }
+    .stacked(layers)
+    .ground()
+}
+
+/// Declares `layers` layers of TP-only decode
+/// ([`crate::ring::tp_only_decode`]): per layer one `AllGather` moving
+/// every rank's per-sequence KV shards (`kv_bytes[r]` wire bytes from
+/// rank `r`). At `world == 1` the loop issues no collective at all, so
+/// the single rank's plan is empty.
+///
+/// # Errors
+///
+/// [`CoreError::BadRequest`] for an empty rank list.
+pub fn tp_only_decode_plan(kv_bytes: &[usize], layers: usize) -> Result<CommPlan, CoreError> {
+    if nonzero_world(kv_bytes.len())? == 1 {
+        return Ok(CommPlan::from_ranks(vec![RankPlan {
+            rank: 0,
+            ops: Vec::new(),
+        }]));
+    }
+    Schedule {
+        template: tp_only_decode_template(),
+        tables: vec![kv_bytes.to_vec()],
+    }
+    .stacked(layers)
+    .ground()
+}
+
+/// Declares the all-gather pass-KV baseline schedule
+/// ([`crate::baseline::all_gather_pass_kv_prefill`], Llama3-training style,
+/// §3.5.2): a single `AllGather` per rank broadcasting the rank's own KV
+/// shard. Byte-for-byte it moves the ring schedule's total volume, but all
+/// of it sits un-overlapped before any compute starts.
+///
+/// # Errors
+///
+/// [`CoreError::BadRequest`] for an empty rank list.
+pub fn all_gather_pass_kv_plan(locals: &[Vec<LocalSeq>]) -> Result<CommPlan, CoreError> {
+    all_gather_baseline_template().ground(nonzero_world(locals.len())?, &kv_tables(locals)?)
+}
+
+/// Declares a single-collective `AllReduce` schedule: every rank
+/// contributes `bytes[r]` wire bytes of `variant` payload and collects
+/// every peer's contribution for the deterministic fold — cp-model's
+/// tensor-parallel column→row pairs (Table 2). Callers derive `bytes` and
+/// `variant` from the payload's `Wire` impl on a skeleton value.
+///
+/// # Errors
+///
+/// [`CoreError::BadRequest`] for an empty rank list.
+pub fn all_reduce_plan(variant: &'static str, bytes: &[usize]) -> Result<CommPlan, CoreError> {
+    tp_all_reduce_template(variant).ground(nonzero_world(bytes.len())?, &[bytes.to_vec()])
+}
+
+/// Declares a single-collective `AllGather` schedule: every rank
+/// broadcasts `bytes[r]` wire bytes of `variant` payload and collects one
+/// payload from each peer — cp-model's TP attention reassembling per-head
+/// outputs (§4.2.2).
+///
+/// # Errors
+///
+/// [`CoreError::BadRequest`] for an empty rank list.
+pub fn all_gather_plan(variant: &'static str, bytes: &[usize]) -> Result<CommPlan, CoreError> {
+    tp_all_gather_template(variant).ground(nonzero_world(bytes.len())?, &[bytes.to_vec()])
 }
 
 fn nonzero_world(n: usize) -> Result<usize, CoreError> {
@@ -1331,6 +693,7 @@ mod tests {
     use super::*;
     use crate::ring::{ring_pass_kv_prefill, ring_pass_q_decode, ring_pass_q_prefill, RankKv};
     use cp_attention::GqaShape;
+    use cp_comm::CommOp;
     use cp_tensor::DetRng;
 
     fn params(nh: usize, nkv: usize, dh: usize) -> AttentionParams {
@@ -1411,7 +774,7 @@ mod tests {
     fn pass_kv_plan_has_n_minus_1_uniform_hops() {
         let p = params(2, 1, 4);
         let locals = uniform_locals(4, 3, &p, 7);
-        let plan = pass_kv_plan(&locals).unwrap();
+        let plan = ring_plan(RingInput::PassKv(&locals), &RingSpec::default(), &p).unwrap();
         assert_eq!(plan.world, 4);
         for (r, rp) in plan.ranks.iter().enumerate() {
             assert_eq!(rp.ops.len(), 3);
@@ -1443,9 +806,10 @@ mod tests {
     fn single_rank_plans_are_local_only() {
         let p = params(2, 1, 4);
         let locals = uniform_locals(1, 3, &p, 9);
-        let kv = pass_kv_plan(&locals).unwrap();
+        let spec = RingSpec::default();
+        let kv = ring_plan(RingInput::PassKv(&locals), &spec, &p).unwrap();
         assert!(kv.ranks[0].ops.is_empty());
-        let q = pass_q_plan(&p, &locals).unwrap();
+        let q = ring_plan(RingInput::PassQ(&locals), &spec, &p).unwrap();
         // A single rank keeps its own partial locally: no hops, no return
         // sends, no receives.
         assert!(q.ranks[0].ops.is_empty());
@@ -1455,18 +819,17 @@ mod tests {
     #[test]
     fn empty_rank_list_is_rejected() {
         let p = params(2, 1, 4);
-        assert!(matches!(
-            pass_kv_plan(&[]),
-            Err(CoreError::BadRequest { .. })
-        ));
-        assert!(matches!(
-            pass_q_plan(&p, &[]),
-            Err(CoreError::BadRequest { .. })
-        ));
-        assert!(matches!(
-            decode_plan(&p, &[]),
-            Err(CoreError::BadRequest { .. })
-        ));
+        let spec = RingSpec::default();
+        for input in [
+            RingInput::PassKv(&[]),
+            RingInput::PassQ(&[]),
+            RingInput::Decode(&[]),
+        ] {
+            assert!(matches!(
+                ring_plan(input, &spec, &p),
+                Err(CoreError::BadRequest { .. })
+            ));
+        }
     }
 
     #[test]
@@ -1474,7 +837,7 @@ mod tests {
         let p = params(2, 1, 4);
         for n in [2, 3, 4] {
             let locals = uniform_locals(n, 3, &p, n as u64);
-            let plan = pass_kv_plan(&locals).unwrap();
+            let plan = ring_plan(RingInput::PassKv(&locals), &RingSpec::default(), &p).unwrap();
             let predicted = plan.predicted_traffic();
             let fabric = CheckedFabric::new(plan);
             let (outs, report) = run_ring_checked(&fabric, |comm| {
@@ -1491,7 +854,7 @@ mod tests {
         let p = params(4, 2, 8);
         for n in [2, 3, 4] {
             let locals = uniform_locals(n, 2, &p, 20 + n as u64);
-            let plan = pass_q_plan(&p, &locals).unwrap();
+            let plan = ring_plan(RingInput::PassQ(&locals), &RingSpec::default(), &p).unwrap();
             let predicted = plan.predicted_traffic();
             let fabric = CheckedFabric::new(plan);
             let (_, report) = run_ring_checked(&fabric, |comm| {
@@ -1511,7 +874,7 @@ mod tests {
         for n in [2, 4] {
             let slots = uniform_slots(n, &p, 40 + n as u64);
             let kv = decode_kv(n, &p, 50 + n as u64);
-            let plan = decode_plan(&p, &slots).unwrap();
+            let plan = ring_plan(RingInput::Decode(&slots), &RingSpec::default(), &p).unwrap();
             let predicted = plan.predicted_traffic();
             let fabric = CheckedFabric::new(plan);
             let (_, report) = run_ring_checked(&fabric, |comm| {
@@ -1539,7 +902,9 @@ mod tests {
             assert_eq!(outs.len(), n);
             predicted.check_report(&report).unwrap();
             // Same volume as the ring schedule, in one un-overlapped shot.
-            let ring_predicted = pass_kv_plan(&locals).unwrap().predicted_traffic();
+            let ring_predicted = ring_plan(RingInput::PassKv(&locals), &RingSpec::default(), &p)
+                .unwrap()
+                .predicted_traffic();
             assert_eq!(predicted.all_gather.bytes, ring_predicted.send_recv.bytes);
         }
     }
@@ -1555,7 +920,7 @@ mod tests {
         skewed[1][0].k = rng.tensor(&[5, 1, 4]);
         skewed[1][0].v = rng.tensor(&[5, 1, 4]);
         skewed[1][0].kv_pos = (0..5).collect();
-        let plan = pass_kv_plan(&locals).unwrap();
+        let plan = ring_plan(RingInput::PassKv(&locals), &RingSpec::default(), &p).unwrap();
         let fabric = CheckedFabric::new(plan);
         let err = run_ring_checked(&fabric, |comm| {
             ring_pass_kv_prefill(comm, &p, &RingSpec::default(), &skewed[comm.rank()])
@@ -1624,8 +989,9 @@ mod tests {
     fn stacked_plan_repeats_each_rank_schedule() {
         let p = params(2, 1, 4);
         let locals = uniform_locals(3, 2, &p, 90);
-        let layer = pass_kv_plan(&locals).unwrap();
-        let stacked = stacked_plan(layer.clone(), 4);
+        let schedule = ring_schedule(RingInput::PassKv(&locals), &RingSpec::default(), &p).unwrap();
+        let layer = schedule.ground().unwrap();
+        let stacked = schedule.stacked(4).ground().unwrap();
         assert_eq!(stacked.world, layer.world);
         for (sp, lp) in stacked.ranks.iter().zip(&layer.ranks) {
             assert_eq!(sp.ops.len(), 4 * lp.ops.len());
@@ -1642,12 +1008,10 @@ mod tests {
     fn skeleton_tensors_are_not_deep_copied() {
         let p = params(2, 1, 4);
         let locals = uniform_locals(2, 3, &p, 70);
-        let msg = kv_skeleton(&locals[0]);
-        match msg {
-            RingMsg::Kv { seqs } => {
-                assert!(seqs[0].k.shares_buffer(&locals[0][0].k));
-            }
-            other => panic!("expected Kv skeleton, got {other:?}"),
-        }
+        // The byte tables meter `LocalSeq::kv` blocks, which view the
+        // shard's buffers rather than copying them.
+        let block = locals[0][0].kv();
+        assert!(block.k.shares_buffer(&locals[0][0].k));
+        assert!(block.v.shares_buffer(&locals[0][0].v));
     }
 }

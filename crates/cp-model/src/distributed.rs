@@ -11,7 +11,7 @@
 use cp_attention::PAD;
 use cp_comm::{CheckedFabric, CommPlan, Communicator, TrafficReport};
 use cp_core::ring::{ring_pass_kv_prefill, ring_pass_q_prefill, run_ring};
-use cp_core::schedule::{ring_plan, run_ring_checked, stacked_plan, RingInput};
+use cp_core::schedule::{ring_schedule, run_ring_checked, RingInput};
 use cp_core::{CoreError, LocalSeq, RingMsg, RingSpec};
 use cp_perf::RingVariant;
 use cp_sharding::ShardPlan;
@@ -186,8 +186,9 @@ pub fn forward_plan(
         RingVariant::PassKv => RingInput::PassKv(&locals),
         RingVariant::PassQ => RingInput::PassQ(&locals),
     };
-    let layer_plan = ring_plan(input, &RingSpec::default(), &params)?;
-    Ok(stacked_plan(layer_plan, config.n_layers))
+    ring_schedule(input, &RingSpec::default(), &params)?
+        .stacked(config.n_layers)
+        .ground()
 }
 
 /// [`cp_forward_sharded_with`] under a [`CheckedFabric`] enforcing

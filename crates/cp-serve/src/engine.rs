@@ -12,7 +12,7 @@ use cp_core::ring::{
     ring_pass_q_prefill, run_ring_on, tp_only_decode, RankKv,
 };
 use cp_core::schedule::{
-    helix_layer_plan, ring_plan, stacked_plan, tp_only_decode_plan, RingInput, RingLayout,
+    helix_layer_plan, ring_schedule, tp_only_decode_plan, RingInput, RingLayout,
 };
 use cp_core::{CoreError, DecodeSlot, KvPrecision, LocalSeq, RingMsg, SchedulePolicy, SeqKv, SeqQ};
 use cp_kvcache::{CacheStats, KvCacheConfig, PagedKvCache, QuantKvCache, SeqId};
@@ -789,8 +789,11 @@ impl TransformerEngine {
                 RingVariant::PassKv => RingInput::PassKv(&locals),
                 RingVariant::PassQ => RingInput::PassQ(&locals),
             };
-            let layer_plan = ring_plan(input, &spec, &params)?;
-            Some(stacked_plan(layer_plan, config.n_layers))
+            Some(
+                ring_schedule(input, &spec, &params)?
+                    .stacked(config.n_layers)
+                    .ground()?,
+            )
         } else {
             None
         };
@@ -1059,12 +1062,17 @@ impl TransformerEngine {
                     rank_slots
                 })
                 .collect();
-            let layer_plan = match strategy {
-                DecodeStrategy::PassQ => ring_plan(RingInput::Decode(&slots), &spec, &params)?,
+            let layers = config.n_layers;
+            let plan = match strategy {
+                DecodeStrategy::PassQ => ring_schedule(RingInput::Decode(&slots), &spec, &params)?
+                    .stacked(layers)
+                    .ground()?,
                 // One Helix layer = the decode exchange plus the three
                 // reshard collectives, in exactly the order the body
                 // issues them.
-                DecodeStrategy::Helix => helix_layer_plan(&params, &slots, config.model_dim())?,
+                DecodeStrategy::Helix => {
+                    helix_layer_plan(&params, &slots, config.model_dim(), layers)?
+                }
                 // TP-only moves each rank's post-append shard of every
                 // batched session over one KV AllGather per layer.
                 DecodeStrategy::TpOnly => {
@@ -1086,10 +1094,10 @@ impl TransformerEngine {
                             Ok(RingMsg::Kv { seqs }.wire_bytes())
                         })
                         .collect::<Result<Vec<usize>, ServeError>>()?;
-                    tp_only_decode_plan(&kv_bytes)?
+                    tp_only_decode_plan(&kv_bytes, layers)?
                 }
             };
-            Some(stacked_plan(layer_plan, config.n_layers))
+            Some(plan)
         } else {
             None
         };

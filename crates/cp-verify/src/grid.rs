@@ -1,21 +1,19 @@
 //! The (T, P, varseq) configuration grid of real ring schedules.
 //!
 //! The checker's subject matter is the schedules the engine actually runs,
-//! so this module builds [`CommPlan`]s through the *production* builders in
-//! `cp_core::schedule` — pass-KV prefill, pass-Q prefill, batched pass-Q
-//! decode, and the all-gather pass-KV baseline — over a grid of
-//! tokens-per-rank, decode-slot counts, and sequence-length skew
-//! (`varseq`). Inputs are zero tensors: plans depend only on shapes, never
-//! on values.
+//! so this module builds [`CommPlan`]s exactly as production does —
+//! through `cp_core::schedule::ring_plan` over [`RingSpec`] cells (every
+//! direction × layout × wire × depth family of pass-KV prefill, pass-Q
+//! prefill and batched pass-Q decode) plus the all-gather pass-KV baseline
+//! — over a grid of tokens-per-rank, decode-slot counts, and
+//! sequence-length skew (`varseq`). Inputs are zero tensors: plans depend
+//! only on shapes, never on values.
 
 use cp_attention::{AttentionParams, GqaShape};
 use cp_comm::{CommPlan, Topology};
-use cp_core::schedule::{
-    all_gather_pass_kv_plan, decode_bidi_plan, decode_plan, pass_kv_bidi_plan,
-    pass_kv_chunked_plan, pass_kv_plan, pass_kv_plan_on, pass_kv_quant_bidi_plan,
-    pass_kv_quant_plan_on, pass_q_bidi_plan, pass_q_plan, pass_q_plan_on, RingLayout,
-};
-use cp_core::{CoreError, DecodeSlot, LocalSeq};
+use cp_core::schedule::{all_gather_pass_kv_plan, ring_plan, RingInput, RingLayout};
+use cp_core::{CoreError, DecodeSlot, LocalSeq, RingSpec, RingWire};
+use cp_perf::RingDirection;
 use cp_tensor::Tensor;
 
 /// One grid point: a named, real schedule to verify.
@@ -103,16 +101,25 @@ pub(crate) fn hier_topos(cp: usize) -> Vec<Topology> {
 }
 
 /// Builds every grid case for one CP degree: the cross product of
-/// algorithm × schedule family (uni/bidi × flat/hier, plus the chunked
-/// pipelined ring) × tokens-per-rank (or slots) × uniform/varseq.
+/// algorithm × schedule family (uni/bidi × flat/hier × f32/INT8, plus the
+/// chunked pipelined ring) × tokens-per-rank (or slots) × uniform/varseq.
 ///
 /// # Errors
 ///
-/// Propagates [`CoreError`] from the production plan builders (only
-/// possible for degenerate configurations, which the grid avoids).
+/// Propagates [`CoreError`] from `ring_plan` (only possible for
+/// degenerate configurations, which the grid avoids).
 pub fn grid_cases(cp: usize) -> Result<Vec<GridCase>, CoreError> {
     let params = grid_params()?;
     let shape = params.shape;
+    let uni = RingSpec::default();
+    let bidi = RingSpec {
+        direction: RingDirection::Bidi,
+        ..uni
+    };
+    let int8 = |spec: RingSpec| RingSpec {
+        wire: RingWire::Int8,
+        ..spec
+    };
     let mut cases = Vec::new();
     for &t in &[1usize, 3] {
         for &varseq in &[false, true] {
@@ -121,86 +128,68 @@ pub fn grid_cases(cp: usize) -> Result<Vec<GridCase>, CoreError> {
             }
             let tag = if varseq { "varseq" } else { "uniform" };
             let locals = grid_locals(cp, t, varseq, shape);
-            cases.push(GridCase {
-                name: format!("cp{cp}/pass_kv/t{t}/{tag}"),
-                plan: pass_kv_plan(&locals)?,
-            });
-            cases.push(GridCase {
-                name: format!("cp{cp}/pass_q/t{t}/{tag}"),
-                plan: pass_q_plan(&params, &locals)?,
-            });
-            cases.push(GridCase {
-                name: format!("cp{cp}/all_gather/t{t}/{tag}"),
-                plan: all_gather_pass_kv_plan(&locals)?,
-            });
+            let (kv, q) = (RingInput::PassKv(&locals), RingInput::PassQ(&locals));
             // Compressed pass-KV families ride a `quant_kv` prefix of
             // their own: their whole point is moving *fewer* bytes than
             // the f32 `pass_kv` base, so they must not pattern-match into
             // the volume-preservation law below.
-            cases.push(GridCase {
-                name: format!("cp{cp}/quant_kv/t{t}/{tag}"),
-                plan: pass_kv_quant_plan_on(&locals, RingLayout::Flat)?,
-            });
+            let mut cells = vec![
+                ("pass_kv".to_string(), kv, uni),
+                ("pass_q".to_string(), q, uni),
+                ("quant_kv".to_string(), kv, int8(uni)),
+            ];
             if cp >= 2 {
-                cases.push(GridCase {
-                    name: format!("cp{cp}/pass_kv_bidi/t{t}/{tag}"),
-                    plan: pass_kv_bidi_plan(&locals, RingLayout::Flat)?,
-                });
-                cases.push(GridCase {
-                    name: format!("cp{cp}/pass_q_bidi/t{t}/{tag}"),
-                    plan: pass_q_bidi_plan(&params, &locals, RingLayout::Flat)?,
-                });
-                cases.push(GridCase {
-                    name: format!("cp{cp}/pass_kv_chunked/t{t}/{tag}"),
-                    plan: pass_kv_chunked_plan(&locals)?,
-                });
-                cases.push(GridCase {
-                    name: format!("cp{cp}/quant_kv_bidi/t{t}/{tag}"),
-                    plan: pass_kv_quant_bidi_plan(&locals, RingLayout::Flat)?,
-                });
+                cells.extend([
+                    ("pass_kv_bidi".to_string(), kv, bidi),
+                    ("pass_q_bidi".to_string(), q, bidi),
+                    (
+                        "pass_kv_chunked".to_string(),
+                        kv,
+                        RingSpec { depth: 2, ..uni },
+                    ),
+                    ("quant_kv_bidi".to_string(), kv, int8(bidi)),
+                ]);
             }
             for topo in hier_topos(cp) {
                 let hier = format!("hier{}x{}", topo.nodes, topo.ranks_per_node);
-                let layout = RingLayout::Hier(topo);
+                let on = |spec: RingSpec| RingSpec {
+                    layout: RingLayout::Hier(topo),
+                    ..spec
+                };
+                cells.extend([
+                    (format!("pass_kv_{hier}"), kv, on(uni)),
+                    (format!("pass_q_{hier}"), q, on(uni)),
+                    (format!("pass_kv_bidi_{hier}"), kv, on(bidi)),
+                    (format!("pass_q_bidi_{hier}"), q, on(bidi)),
+                    (format!("quant_kv_{hier}"), kv, on(int8(uni))),
+                    (format!("quant_kv_bidi_{hier}"), kv, on(int8(bidi))),
+                ]);
+            }
+            for (alg, input, spec) in cells {
                 cases.push(GridCase {
-                    name: format!("cp{cp}/pass_kv_{hier}/t{t}/{tag}"),
-                    plan: pass_kv_plan_on(&locals, layout)?,
-                });
-                cases.push(GridCase {
-                    name: format!("cp{cp}/pass_q_{hier}/t{t}/{tag}"),
-                    plan: pass_q_plan_on(&params, &locals, layout)?,
-                });
-                cases.push(GridCase {
-                    name: format!("cp{cp}/pass_kv_bidi_{hier}/t{t}/{tag}"),
-                    plan: pass_kv_bidi_plan(&locals, layout)?,
-                });
-                cases.push(GridCase {
-                    name: format!("cp{cp}/pass_q_bidi_{hier}/t{t}/{tag}"),
-                    plan: pass_q_bidi_plan(&params, &locals, layout)?,
-                });
-                cases.push(GridCase {
-                    name: format!("cp{cp}/quant_kv_{hier}/t{t}/{tag}"),
-                    plan: pass_kv_quant_plan_on(&locals, layout)?,
-                });
-                cases.push(GridCase {
-                    name: format!("cp{cp}/quant_kv_bidi_{hier}/t{t}/{tag}"),
-                    plan: pass_kv_quant_bidi_plan(&locals, layout)?,
+                    name: format!("cp{cp}/{alg}/t{t}/{tag}"),
+                    plan: ring_plan(input, &spec, &params)?,
                 });
             }
+            cases.push(GridCase {
+                name: format!("cp{cp}/all_gather/t{t}/{tag}"),
+                plan: all_gather_pass_kv_plan(&locals)?,
+            });
         }
     }
     for &slots in &[1usize, 3] {
         for &varseq in &[false, true] {
             let tag = if varseq { "ragged" } else { "full" };
             let decode_slots = grid_slots(cp, slots, varseq, shape);
+            let decode = RingInput::Decode(&decode_slots);
             cases.push(GridCase {
                 name: format!("cp{cp}/decode/p{slots}/{tag}"),
-                plan: decode_plan(&params, &decode_slots)?,
+                plan: ring_plan(decode, &uni, &params)?,
             });
             if cp >= 2 {
                 cases.push(GridCase {
                     name: format!("cp{cp}/decode_bidi/p{slots}/{tag}"),
-                    plan: decode_bidi_plan(&params, &decode_slots)?,
+                    plan: ring_plan(decode, &bidi, &params)?,
                 });
             }
         }

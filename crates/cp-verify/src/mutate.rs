@@ -260,8 +260,12 @@ mod tests {
             v: cp_tensor::Tensor::zeros(&[1, 1, 4]),
             kv_pos: vec![0],
         }]];
-        let plan = cp_core::schedule::pass_kv_plan(&locals).unwrap();
-        let _ = params;
+        let plan = cp_core::schedule::ring_plan(
+            cp_core::schedule::RingInput::PassKv(&locals),
+            &cp_core::RingSpec::default(),
+            &params,
+        )
+        .unwrap();
         for mutation in Mutation::seeds(0) {
             assert!(
                 apply_mutation(&plan, mutation).is_none(),

@@ -2,7 +2,7 @@
 //! a [`CheckedFabric`] whose declared plan is validated offline by
 //! `cp-verify` first, then enforced against live traffic — for CP ∈
 //! {2, 4, 8} on the default cell and for every supported [`RingSpec`]
-//! cell at CP ∈ 2..=5. Seeded mutations must be caught by BOTH layers
+//! cell at CP ∈ 2..=6. Seeded mutations must be caught by BOTH layers
 //! (model checker offline, `CheckedFabric` at runtime), each naming the
 //! offending rank.
 
@@ -14,7 +14,7 @@ use std::time::Duration;
 use cp_attention::{AttentionParams, GqaShape};
 use cp_comm::{CheckedFabric, CommError};
 use cp_core::ring::ring_pass_kv_prefill;
-use cp_core::schedule::{pass_kv_plan, ring_plan, run_ring_checked, RingInput};
+use cp_core::schedule::{ring_plan, run_ring_checked, RingInput};
 use cp_core::{CoreError, DecodeSlot, LocalSeq, RingSpec, SeqKv};
 use cp_tensor::DetRng;
 use cp_verify::{apply_mutation, check_plan, explore_default, Mutation};
@@ -132,7 +132,8 @@ fn decode_runs_checked_at_cp_2_4_8() {
     }
 }
 
-/// Every supported schedule cell at CP ∈ 2..=5: its declared plan passes
+/// Every supported schedule cell at CP ∈ 2..=6 — including the
+/// link-disjoint 2×3 and 3×2 hierarchical layouts: its declared plan passes
 /// the model checker offline, the single ring loop runs it under a
 /// `CheckedFabric` with predicted == measured traffic, and its outputs
 /// meet the cell's numeric contract against the default cell. Every
@@ -141,7 +142,7 @@ fn decode_runs_checked_at_cp_2_4_8() {
 #[test]
 fn every_spec_cell_runs_checked_and_unsupported_cells_are_refused() {
     let p = support::params();
-    for world in 2..=5 {
+    for world in 2..=6 {
         let inputs = Inputs::new(world, &p, 600 + world as u64);
         for cell in spec_grid(world) {
             let report = check_plan(&cell.plan(&p, &inputs).unwrap());
@@ -177,7 +178,7 @@ fn mutations_are_caught_offline_and_at_runtime() {
     let n = 4;
     let target = 1usize;
     let inputs = locals(n, 2, 400);
-    let clean = pass_kv_plan(&inputs).unwrap();
+    let clean = ring_plan(RingInput::PassKv(&inputs), &RingSpec::default(), &params()).unwrap();
     assert!(check_plan(&clean).is_clean());
 
     for mutation in Mutation::seeds(target) {
@@ -223,7 +224,7 @@ fn mutations_are_caught_offline_and_at_runtime() {
 #[test]
 fn deadlock_mutation_is_a_cycle_offline() {
     let inputs = locals(4, 2, 500);
-    let clean = pass_kv_plan(&inputs).unwrap();
+    let clean = ring_plan(RingInput::PassKv(&inputs), &RingSpec::default(), &params()).unwrap();
     let mutated = apply_mutation(&clean, Mutation::RecvBeforeSend).unwrap();
     let report = check_plan(&mutated);
     assert!(report
