@@ -2,21 +2,19 @@
 
 use std::collections::HashMap;
 
-use cp_attention::{AttentionOutput, AttentionParams, GqaShape, PAD};
+use cp_attention::{AttentionOutput, AttentionParams, GqaShape};
 use cp_comm::TrafficReport;
-use cp_kvcache::{KvCacheConfig, PagedKvCache, QuantKvCache, SeqId};
+use cp_kvcache::{KvCacheConfig, SeqId};
 use cp_perf::{DecodeStrategy, RingDirection, RingVariant, TopologySpec};
 use cp_sharding::{decode_round_robin, shard_varseq_with, SequenceSpec, ShardStrategy};
 use cp_tensor::Tensor;
 
 use crate::heuristics::{choose_variant, HeuristicKind, SystemContext};
-use crate::messages::{DecodeSlot, LocalSeq, SeqKv, SeqQ};
-use crate::ring::{
-    attn_block_for, helix_decode, ring_pass_kv_prefill, ring_pass_q_decode, ring_pass_q_prefill,
-    run_ring, tp_only_decode, RankKv,
-};
+use crate::messages::{DecodeSlot, SeqQ};
+use crate::ring::run_ring;
 use crate::schedule::RingLayout;
 use crate::spec::SchedulePolicy;
+use crate::store::{attend_decode, attend_prefill, KvStore};
 use crate::CoreError;
 
 /// Precision of the KV-cache hot path and the pass-KV wire format.
@@ -172,6 +170,15 @@ fn rank_input_mut<T>(per_rank: &mut [T], rank: usize) -> Result<&mut T, CoreErro
     })
 }
 
+/// The rows of a request's new-token tensors that a shard entry's global
+/// positions select.
+fn shard_rows(positions: &[usize], spec: &SequenceSpec) -> Vec<usize> {
+    positions
+        .iter()
+        .map(|&pos| pos - spec.cached_tokens)
+        .collect()
+}
+
 /// Result of one prefill round for one sequence.
 #[derive(Debug, Clone)]
 pub struct PrefillOutcome {
@@ -231,11 +238,7 @@ pub struct PrefillRequest<'a> {
 pub struct ContextParallelEngine {
     config: EngineConfig,
     params: AttentionParams,
-    caches: Vec<PagedKvCache>,
-    /// INT8 page pools, populated (and kept in lockstep with `caches`)
-    /// only at [`KvPrecision::Int8Total`]: the pass-Q/decode hot paths
-    /// attend these in place through per-head dequantizing kernels.
-    qcaches: Vec<QuantKvCache>,
+    stores: Vec<KvStore>,
     lens: HashMap<u64, usize>,
     decode_step: usize,
 }
@@ -262,29 +265,16 @@ impl ContextParallelEngine {
         if let Some(max) = config.max_pages_per_rank {
             cache_cfg = cache_cfg.with_max_pages(max);
         }
-        let caches = (0..config.n_ranks)
-            .map(|_| PagedKvCache::new(cache_cfg))
+        let stores = (0..config.n_ranks)
+            .map(|_| KvStore::new(cache_cfg, config.kv_precision))
             .collect();
-        let qcaches = if config.kv_precision == KvPrecision::Int8Total {
-            (0..config.n_ranks)
-                .map(|_| QuantKvCache::new(cache_cfg))
-                .collect()
-        } else {
-            Vec::new()
-        };
         Ok(ContextParallelEngine {
             params: AttentionParams::for_shape(config.shape),
             config,
-            caches,
-            qcaches,
+            stores,
             lens: HashMap::new(),
             decode_step: 0,
         })
-    }
-
-    /// Whether the pass-Q/decode hot paths attend INT8 pages.
-    fn total_quant(&self) -> bool {
-        self.config.kv_precision == KvPrecision::Int8Total
     }
 
     /// Number of CP ranks.
@@ -329,7 +319,7 @@ impl ContextParallelEngine {
             });
         }
         Ok(self
-            .caches
+            .stores
             .iter()
             .map(|c| c.seq_len(seq).unwrap_or(0))
             .collect())
@@ -337,7 +327,7 @@ impl ContextParallelEngine {
 
     /// Per-rank cache occupancy statistics.
     pub fn cache_stats(&self) -> Vec<cp_kvcache::CacheStats> {
-        self.caches.iter().map(|c| c.stats()).collect()
+        self.stores.iter().map(KvStore::stats).collect()
     }
 
     /// Releases a sequence on every rank.
@@ -351,10 +341,7 @@ impl ContextParallelEngine {
                 reason: format!("unknown sequence {seq}"),
             });
         }
-        for c in &mut self.caches {
-            c.free_sequence(seq)?;
-        }
-        for c in &mut self.qcaches {
+        for c in &mut self.stores {
             c.free_sequence(seq)?;
         }
         Ok(())
@@ -376,18 +363,13 @@ impl ContextParallelEngine {
             });
         }
         let new_len = len - n_tokens;
-        // `qcaches` is empty (F32 / Int8Wire) or rank-aligned with `caches`.
-        let mut qcaches = self.qcaches.iter_mut();
-        for cache in &mut self.caches {
+        for store in &mut self.stores {
             // Per-rank positions ascend (turns and decode steps append in
             // position order), so everything >= new_len is a suffix.
-            let pos = cache.positions(seq)?;
+            let pos = store.positions(seq)?;
             let keep = pos.iter().take_while(|&&p| p < new_len).count();
             debug_assert!(pos.iter().skip(keep).all(|&p| p >= new_len));
-            cache.truncate(seq, keep)?;
-            if let Some(qc) = qcaches.next() {
-                qc.truncate(seq, keep)?;
-            }
+            store.truncate(seq, keep)?;
         }
         self.lens.insert(seq.0, new_len);
         Ok(())
@@ -494,18 +476,7 @@ impl ContextParallelEngine {
         // half-registered sequences behind.
         let snapshots: Vec<Option<Vec<usize>>> = requests
             .iter()
-            .map(|r| {
-                if self.lens.contains_key(&r.seq.0) {
-                    Some(
-                        self.caches
-                            .iter()
-                            .map(|c| c.seq_len(r.seq).unwrap_or(0))
-                            .collect(),
-                    )
-                } else {
-                    None
-                }
-            })
+            .map(|r| self.rank_kv_lens(r.seq).ok())
             .collect();
         let result = self.prefill_batch_inner(requests, &specs, forced_variant);
         if result.is_err() {
@@ -513,20 +484,14 @@ impl ContextParallelEngine {
                 match snapshot {
                     // Newly created this call: remove entirely.
                     None => {
-                        for c in &mut self.caches {
-                            let _ = c.free_sequence(req.seq);
-                        }
-                        for c in &mut self.qcaches {
+                        for c in &mut self.stores {
                             let _ = c.free_sequence(req.seq);
                         }
                     }
                     // Pre-existing: drop whatever this call appended (the
                     // appended positions are a per-rank suffix).
                     Some(lens) => {
-                        for (c, &len) in self.caches.iter_mut().zip(lens) {
-                            let _ = c.truncate(req.seq, len);
-                        }
-                        for (c, &len) in self.qcaches.iter_mut().zip(lens) {
+                        for (c, &len) in self.stores.iter_mut().zip(lens) {
                             let _ = c.truncate(req.seq, len);
                         }
                     }
@@ -546,60 +511,35 @@ impl ContextParallelEngine {
         // Register new sequences on every rank.
         for (r, spec) in requests.iter().zip(specs) {
             if spec.cached_tokens == 0 && !self.lens.contains_key(&r.seq.0) {
-                for c in &mut self.caches {
-                    c.create_sequence(r.seq)?;
-                }
-                for c in &mut self.qcaches {
+                for c in &mut self.stores {
                     c.create_sequence(r.seq)?;
                 }
             }
         }
 
         // Shard new tokens (Figure 1/2) and append each rank's share to
-        // its cache.
+        // its store: each selected row lands straight in its page slot.
         let shards = shard_varseq_with(specs, n, self.config.shard_strategy)?;
         for (rank, shard) in shards.iter().enumerate() {
             for (entry, (req, spec)) in shard.entries.iter().zip(requests.iter().zip(specs)) {
-                let rows: Vec<usize> = entry
-                    .positions
-                    .iter()
-                    .map(|&pos| pos - spec.cached_tokens)
-                    .collect();
-                // In-place paged append: each selected row lands straight
-                // in its page slot, no staging tensor.
-                rank_input_mut(&mut self.caches, rank)?.append_rows(
+                let rows = shard_rows(&entry.positions, spec);
+                rank_input_mut(&mut self.stores, rank)?.append_rows(
                     req.seq,
                     req.k,
                     req.v,
                     &rows,
                     &entry.positions,
                 )?;
-                if self.config.kv_precision == KvPrecision::Int8Total {
-                    // Quantize-on-append into the INT8 pool (token-local
-                    // scales computed in the page slot).
-                    rank_input_mut(&mut self.qcaches, rank)?.append_rows(
-                        req.seq,
-                        req.k,
-                        req.v,
-                        &rows,
-                        &entry.positions,
-                    )?;
-                }
             }
         }
 
-        // Pick the variant from the batch's aggregate (T, P) *before*
-        // materializing ring inputs: pass-KV needs gathered + padded owned
-        // KV (the shard circulates on the wire), while pass-Q keeps KV
-        // stationary and attends the paged caches in place through
-        // zero-copy views — no O(P) gather per turn.
+        // Pick the variant from the batch's aggregate (T, P); both INT8
+        // levels compress the circulating pass-KV blocks.
         let t_total: usize = specs.iter().map(|s| s.new_tokens).sum();
         let p_total: usize = specs.iter().map(|s| s.cached_tokens).sum();
         let variant = forced_variant.unwrap_or_else(|| {
             choose_variant(self.config.heuristic, &self.config.system, t_total, p_total)
         });
-        // Both INT8 levels compress the circulating pass-KV blocks:
-        // origins quantize once, hops relay codes verbatim.
         let spec = self.config.schedule.resolve(
             &self.config.system,
             self.config.kv_precision,
@@ -607,97 +547,38 @@ impl ContextParallelEngine {
             t_total,
             p_total,
         );
+        // Each sequence's pass-KV ring length: its longest per-rank shard.
+        let seqs = requests
+            .iter()
+            .map(|req| {
+                let lens = self
+                    .stores
+                    .iter()
+                    .map(|c| c.seq_len(req.seq))
+                    .collect::<Result<Vec<_>, _>>()?;
+                Ok((req.seq, lens.into_iter().max().unwrap_or(0)))
+            })
+            .collect::<Result<Vec<_>, CoreError>>()?;
 
         let params = self.params;
-        let (rank_outputs, traffic) = match variant {
-            RingVariant::PassKv => {
-                // Per-rank LocalSeq inputs: local queries plus the padded
-                // local KV shard (§3.5.2's equal-message-size invariant).
-                let ring_lens: Vec<usize> = requests
-                    .iter()
-                    .map(|req| {
-                        Ok(self
-                            .caches
-                            .iter()
-                            .map(|c| c.seq_len(req.seq))
-                            .collect::<Result<Vec<_>, _>>()?
-                            .into_iter()
-                            .max()
-                            .unwrap_or(0))
+        let stores = &self.stores;
+        let shards_ref = &shards;
+        let (rank_outputs, traffic) = run_ring(n, |comm| {
+            let shard = rank_input(shards_ref, comm.rank())?;
+            let queries = shard
+                .entries
+                .iter()
+                .zip(requests.iter().zip(specs))
+                .map(|(entry, (req, spec))| {
+                    Ok(SeqQ {
+                        q: req.q.gather_dim0(&shard_rows(&entry.positions, spec))?,
+                        pos: entry.positions.clone(),
                     })
-                    .collect::<Result<Vec<_>, CoreError>>()?;
-
-                let mut locals: Vec<Vec<LocalSeq>> = Vec::with_capacity(n);
-                for (cache, shard) in self.caches.iter().zip(shards.iter()) {
-                    let mut rank_locals = Vec::with_capacity(requests.len());
-                    for (i, (entry, (req, spec))) in shard
-                        .entries
-                        .iter()
-                        .zip(requests.iter().zip(specs))
-                        .enumerate()
-                    {
-                        let rows: Vec<usize> = entry
-                            .positions
-                            .iter()
-                            .map(|&pos| pos - spec.cached_tokens)
-                            .collect();
-                        let q = req.q.gather_dim0(&rows)?;
-                        let ring_len = ring_lens.get(i).copied().unwrap_or(0);
-                        let (k, v, mut kv_pos) = cache.gather(req.seq)?;
-                        let k = k.pad_dim0(ring_len, 0.0)?;
-                        let v = v.pad_dim0(ring_len, 0.0)?;
-                        kv_pos.resize(ring_len, PAD);
-                        rank_locals.push(LocalSeq {
-                            q,
-                            q_pos: entry.positions.clone(),
-                            k,
-                            v,
-                            kv_pos,
-                        });
-                    }
-                    locals.push(rank_locals);
-                }
-                run_ring(n, |comm| {
-                    let mine = rank_input(&locals, comm.rank())?;
-                    ring_pass_kv_prefill(comm, &params, &spec, mine)
-                })?
-            }
-            RingVariant::PassQ => {
-                let total_quant = self.total_quant();
-                let mut queries: Vec<Vec<SeqQ>> = Vec::with_capacity(n);
-                let mut kvs: Vec<Vec<RankKv<'_>>> = Vec::with_capacity(n);
-                for (rank, (cache, shard)) in self.caches.iter().zip(shards.iter()).enumerate() {
-                    let mut rank_q = Vec::with_capacity(requests.len());
-                    let mut rank_kv = Vec::with_capacity(requests.len());
-                    for (entry, (req, spec)) in shard.entries.iter().zip(requests.iter().zip(specs))
-                    {
-                        let rows: Vec<usize> = entry
-                            .positions
-                            .iter()
-                            .map(|&pos| pos - spec.cached_tokens)
-                            .collect();
-                        rank_q.push(SeqQ {
-                            q: req.q.gather_dim0(&rows)?,
-                            pos: entry.positions.clone(),
-                        });
-                        rank_kv.push(if total_quant {
-                            // Attend the INT8 pages in place; the kernel
-                            // dequantizes per head into reused scratch.
-                            RankKv::QuantView(rank_input(&self.qcaches, rank)?.view(req.seq)?)
-                        } else {
-                            RankKv::View(cache.view(req.seq)?)
-                        });
-                    }
-                    queries.push(rank_q);
-                    kvs.push(rank_kv);
-                }
-                run_ring(n, |comm| {
-                    let my_q = rank_input(&queries, comm.rank())?;
-                    let my_kv = rank_input(&kvs, comm.rank())?;
-                    ring_pass_q_prefill(comm, &params, &spec, my_q, my_kv)
-                })?
-            }
-        };
+                })
+                .collect::<Result<Vec<_>, CoreError>>()?;
+            let store = rank_input(stores, comm.rank())?;
+            attend_prefill(comm, &params, variant, &spec, store, &seqs, queries)
+        })?;
 
         // Un-shard: scatter each rank's rows back into original token order.
         let (nh, dh) = (self.config.shape.n_heads(), self.config.shape.head_dim());
@@ -783,10 +664,7 @@ impl ContextParallelEngine {
             let rank = assignment.rank_of(b);
             let pos = self.context_len(*seq)?;
             ctx_total += pos + 1;
-            rank_input_mut(&mut self.caches, rank)?.append(*seq, k, v, &[pos])?;
-            if self.config.kv_precision == KvPrecision::Int8Total {
-                rank_input_mut(&mut self.qcaches, rank)?.append(*seq, k, v, &[pos])?;
-            }
+            rank_input_mut(&mut self.stores, rank)?.append(*seq, k, v, &[pos])?;
             rank_input_mut(&mut slots, rank)?.push(Some(DecodeSlot {
                 bid: b,
                 q: q.clone(),
@@ -797,74 +675,21 @@ impl ContextParallelEngine {
             rank_slots.resize(slots_per_rank, None);
         }
 
-        // Borrow every rank's local shard of every batched sequence as a
-        // zero-copy view (the decode hot path: no per-step per-layer O(P)
-        // gather).
-        let total_quant = self.total_quant();
-        let mut batch_kv: Vec<Vec<RankKv<'_>>> = Vec::with_capacity(n);
-        for (rank, cache) in self.caches.iter().enumerate() {
-            let mut kvs = Vec::with_capacity(batch.len());
-            for (seq, ..) in batch {
-                kvs.push(if total_quant {
-                    RankKv::QuantView(rank_input(&self.qcaches, rank)?.view(*seq)?)
-                } else {
-                    RankKv::View(cache.view(*seq)?)
-                });
-            }
-            batch_kv.push(kvs);
-        }
-
-        // Resolve the decode strategy; TP-only additionally needs each
-        // rank's owned per-sequence shard for the KV AllGather wire (the
-        // dequantized INT8 pages under `Int8Total`, so owned re-attention
-        // matches the quant-view path bit-for-bit).
         let (strategy, spec) = self.config.schedule.resolve_decode(
             &self.config.system,
             self.config.decode_strategy,
             ctx_total,
             batch.len(),
         );
-        let wire_kv: Option<Vec<Vec<SeqKv>>> = if strategy == DecodeStrategy::TpOnly && n > 1 {
-            let mut per_rank = Vec::with_capacity(n);
-            for rank in 0..n {
-                let mut seqs = Vec::with_capacity(batch.len());
-                for (seq, ..) in batch {
-                    seqs.push(if total_quant {
-                        let (k, v, pos) =
-                            rank_input(&self.qcaches, rank)?.gather_quantized(*seq)?;
-                        SeqKv {
-                            k: k.dequantize(),
-                            v: v.dequantize(),
-                            pos,
-                        }
-                    } else {
-                        let (k, v, pos) = rank_input(&self.caches, rank)?.gather(*seq)?;
-                        SeqKv { k, v, pos }
-                    });
-                }
-                per_rank.push(seqs);
-            }
-            Some(per_rank)
-        } else {
-            None
-        };
-
-        let attn_block = attn_block_for(self.config.page_size);
+        // Every rank attends its resident shard of every batched sequence
+        // in place (no per-step O(P) gather on the decode hot path).
+        let seqs: Vec<SeqId> = batch.iter().map(|(seq, ..)| *seq).collect();
         let params = self.params;
+        let stores = &self.stores;
         let (rank_outputs, traffic) = run_ring(n, |comm| {
             let my_slots = rank_input(&slots, comm.rank())?;
-            let my_kv = rank_input(&batch_kv, comm.rank())?;
-            match strategy {
-                DecodeStrategy::PassQ => ring_pass_q_decode(comm, &params, &spec, my_slots, my_kv),
-                DecodeStrategy::Helix => helix_decode(comm, &params, my_slots, my_kv),
-                DecodeStrategy::TpOnly => {
-                    let wire = match &wire_kv {
-                        Some(w) => rank_input(w, comm.rank())?.as_slice(),
-                        None => &[],
-                    };
-                    tp_only_decode(comm, &params, my_slots, my_kv, wire, attn_block)
-                }
-            }
+            let store = rank_input(stores, comm.rank())?;
+            attend_decode(comm, &params, strategy, &spec, store, my_slots, &seqs)
         })?;
 
         // Map per-rank slot outputs back to batch order.

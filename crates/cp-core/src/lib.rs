@@ -20,6 +20,9 @@
 //!   Appendix D empirical model for choosing pass-KV vs pass-Q at runtime,
 //! * [`baseline`] — the single-device reference and the all-gather pass-KV
 //!   baseline (Llama3-training style) the paper compares against,
+//! * [`KvStore`] with [`attend_prefill`] / [`attend_decode`] — one rank's
+//!   resident KV for one layer and the rank-local steps that attend it,
+//!   shared by every engine,
 //! * [`ContextParallelEngine`] — a multi-turn inference engine with
 //!   distributed, persistent, load-balanced KV caches,
 //! * [`ChatSession`] / [`ToyProjector`] — a deterministic toy model layer
@@ -66,6 +69,7 @@ pub mod ring;
 pub mod schedule;
 mod session;
 mod spec;
+mod store;
 pub mod template;
 pub mod trace;
 
@@ -80,3 +84,4 @@ pub use messages::{
 pub use projector::ToyProjector;
 pub use session::{ChatSession, TurnStats};
 pub use spec::{RingSpec, RingWire, SchedulePolicy};
+pub use store::{attend_decode, attend_prefill, KvStore};

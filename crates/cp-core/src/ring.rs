@@ -94,18 +94,6 @@ impl From<SeqKv> for RankKv<'static> {
     }
 }
 
-impl<'a> From<KvView<'a>> for RankKv<'a> {
-    fn from(view: KvView<'a>) -> Self {
-        RankKv::View(view)
-    }
-}
-
-impl<'a> From<QuantKvView<'a>> for RankKv<'a> {
-    fn from(view: QuantKvView<'a>) -> Self {
-        RankKv::QuantView(view)
-    }
-}
-
 fn attend_rank_kv(
     pool: &ComputePool,
     q: &Tensor,

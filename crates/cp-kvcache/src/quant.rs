@@ -607,11 +607,11 @@ impl QuantKvCache {
     /// Dequantizes a sequence back to `[len, n_kv_heads, head_dim]` K/V
     /// tensors plus positions.
     ///
-    /// **A/B reference only.** The kernels attend quantized pages in place
-    /// through [`QuantKvCache::view`] with per-head dequantization into a
-    /// reused scratch; this full `gather` + `dequantize` round-trip exists
-    /// so tests can pin the in-place path bitwise against the materialized
-    /// tensors it replaced. Production paths must not call it.
+    /// The kernels attend quantized pages in place through
+    /// [`QuantKvCache::view`] with per-head dequantization into a reused
+    /// scratch, so no attention path needs this copy. It is what a rank
+    /// puts on the wire when peers must attend its INT8 shard themselves
+    /// (TP-only decode), and what tests pin the in-place path against.
     ///
     /// # Errors
     ///

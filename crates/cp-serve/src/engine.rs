@@ -7,17 +7,17 @@ use cp_attention::PAD;
 use cp_comm::TrafficReport;
 use cp_comm::Wire;
 use cp_core::heuristics::{choose_variant, HeuristicKind, SystemContext};
-use cp_core::ring::{
-    attn_block_for, decode_slot_layout, helix_decode, ring_pass_kv_prefill, ring_pass_q_decode,
-    ring_pass_q_prefill, run_ring_on, tp_only_decode, RankKv,
-};
+use cp_core::ring::{decode_slot_layout, run_ring_on};
 use cp_core::schedule::{
     helix_layer_plan, ring_schedule, tp_only_decode_plan, RingInput, RingLayout,
 };
-use cp_core::{CoreError, DecodeSlot, KvPrecision, LocalSeq, RingMsg, SchedulePolicy, SeqKv, SeqQ};
-use cp_kvcache::{CacheStats, KvCacheConfig, PagedKvCache, QuantKvCache, SeqId};
+use cp_core::{
+    attend_decode, attend_prefill, CoreError, DecodeSlot, KvPrecision, KvStore, LocalSeq, RingMsg,
+    SchedulePolicy, SeqKv, SeqQ,
+};
+use cp_kvcache::{CacheStats, KvCacheConfig, SeqId};
 use cp_model::rope::apply_rope;
-use cp_model::{rms_norm_on, silu, Linear, Transformer};
+use cp_model::{rms_norm_on, silu, Block, Linear, Transformer, TransformerConfig};
 use cp_perf::{DecodeStrategy, RingDirection, RingVariant, TopologySpec};
 use cp_pool::ComputePool;
 use cp_sharding::shard_new_tokens;
@@ -140,7 +140,7 @@ fn split_tp_shards(model: &Transformer, n: usize) -> Result<Vec<LayerTpShards>, 
 }
 
 /// A full-model context-parallel serving engine: every rank owns one
-/// paged KV cache **per transformer layer**; prefill and decode run the
+/// [`KvStore`] **per transformer layer**; prefill and decode run the
 /// whole layer stack distributed, with ring attention per layer.
 ///
 /// The engine serves **multiple sessions** out of the same per-rank
@@ -157,15 +157,9 @@ fn split_tp_shards(model: &Transformer, n: usize) -> Result<Vec<LayerTpShards>, 
 pub struct TransformerEngine {
     model: Transformer,
     n_ranks: usize,
-    /// `ranks[r]` holds rank `r`'s per-layer caches; each rank thread
+    /// `ranks[r]` holds rank `r`'s per-layer stores; each rank thread
     /// locks only its own entry during a fabric session.
-    ranks: Vec<Mutex<Vec<PagedKvCache>>>,
-    /// Rank-/layer-parallel INT8 page pools, populated only at
-    /// [`KvPrecision::Int8Total`]; kept in lockstep with `ranks`.
-    qranks: Vec<Mutex<Vec<QuantKvCache>>>,
-    /// The per-(rank, layer) cache geometry, kept so precision builders
-    /// can allocate matching INT8 pools.
-    cache_cfg: KvCacheConfig,
+    ranks: Vec<Mutex<Vec<KvStore>>>,
     heuristic_ctx: SystemContext,
     sessions: BTreeMap<u64, SessionState>,
     /// When set, every turn runs under a `CheckedFabric` that validates
@@ -200,6 +194,28 @@ fn project(
     } else {
         layer.forward_on(pool, x)
     }
+}
+
+/// One block's Q/K/V projections of the normed rows `h` (`[t, D]`), with
+/// RoPE applied at the rows' global `positions` — the per-layer input of
+/// every attention step, prefill and decode alike.
+fn project_qkv(
+    reference: bool,
+    pool: &ComputePool,
+    block: &Block,
+    config: &TransformerConfig,
+    h: &Tensor,
+    positions: &[usize],
+) -> Result<(Tensor, Tensor, Tensor), CoreError> {
+    let (t, shape) = (positions.len(), config.shape);
+    let kv_shape = [t, shape.n_kv_heads(), shape.head_dim()];
+    let q_shape = [t, shape.n_heads(), shape.head_dim()];
+    let mut q = project(reference, pool, &block.wq, h)?.reshape(&q_shape)?;
+    let mut k = project(reference, pool, &block.wk, h)?.reshape(&kv_shape)?;
+    let v = project(reference, pool, &block.wv, h)?.reshape(&kv_shape)?;
+    apply_rope(&mut q, positions, config.rope_base)?;
+    apply_rope(&mut k, positions, config.rope_base)?;
+    Ok((q, k, v))
 }
 
 /// Locks one rank's per-layer caches. A poisoned mutex means another rank
@@ -288,8 +304,10 @@ impl TransformerEngine {
         }
         let ranks = (0..n_ranks)
             .map(|_| {
-                let layer_caches = (0..layers).map(|_| PagedKvCache::new(cache_cfg)).collect();
-                Mutex::new(layer_caches)
+                let stores = (0..layers)
+                    .map(|_| KvStore::new(cache_cfg, KvPrecision::F32))
+                    .collect();
+                Mutex::new(stores)
             })
             .collect();
         Ok(TransformerEngine {
@@ -297,8 +315,6 @@ impl TransformerEngine {
             model,
             n_ranks,
             ranks,
-            qranks: Vec::new(),
-            cache_cfg,
             sessions: BTreeMap::new(),
             check_schedules: false,
             pool_threads: 0,
@@ -330,27 +346,27 @@ impl TransformerEngine {
     /// Sets the KV precision level: `F32` is exact, `Int8Wire` compresses
     /// the circulating pass-KV ring payloads (~`4d/(d+4)`× fewer bytes
     /// per hop), `Int8Total` additionally stores KV as INT8 pages and
-    /// attends them in place on the pass-Q/decode hot paths. Call it at
-    /// construction, before any session holds tokens.
+    /// attends them in place on the pass-Q/decode hot paths. Sessions
+    /// that already hold tokens keep them: every store rebuilds (or drops)
+    /// its INT8 twin from its f32 master ([`KvStore::set_precision`]).
+    /// The twin shares the master's page geometry and limit, so it always
+    /// fits; were a rebuild ever to fail, the engine would keep its
+    /// previous precision.
     #[must_use]
     pub fn with_kv_precision(mut self, precision: KvPrecision) -> Self {
-        self.kv_precision = precision;
-        if precision == KvPrecision::Int8Total && self.qranks.is_empty() {
-            let layers = self.model.config().n_layers;
-            let cfg = self.cache_cfg;
-            self.qranks = (0..self.n_ranks)
-                .map(|_| {
-                    let mut layer_caches: Vec<QuantKvCache> =
-                        (0..layers).map(|_| QuantKvCache::new(cfg)).collect();
-                    // Mirror already-registered (still empty) sessions.
-                    for &sid in self.sessions.keys() {
-                        for cache in &mut layer_caches {
-                            let _ = cache.create_sequence(SeqId(sid));
-                        }
-                    }
-                    Mutex::new(layer_caches)
-                })
-                .collect();
+        let switched = self.ranks.iter().all(|rank| {
+            lock_caches(rank)
+                .iter_mut()
+                .all(|store| store.set_precision(precision).is_ok())
+        });
+        if switched {
+            self.kv_precision = precision;
+        } else {
+            for rank in &self.ranks {
+                for store in lock_caches(rank).iter_mut() {
+                    let _ = store.set_precision(self.kv_precision);
+                }
+            }
         }
         self
     }
@@ -484,11 +500,6 @@ impl TransformerEngine {
                 }
             }
         }
-        for rank in &self.qranks {
-            for cache in lock_caches(rank).iter_mut() {
-                let _ = cache.create_sequence(seq);
-            }
-        }
         self.sessions.insert(seq.0, SessionState::default());
         Ok(())
     }
@@ -507,11 +518,6 @@ impl TransformerEngine {
                 let _ = cache.free_sequence(seq);
             }
         }
-        for rank in &self.qranks {
-            for cache in lock_caches(rank).iter_mut() {
-                let _ = cache.free_sequence(seq);
-            }
-        }
         Ok(())
     }
 
@@ -524,7 +530,7 @@ impl TransformerEngine {
             .map(|rank| {
                 lock_caches(rank)
                     .first()
-                    .map(PagedKvCache::stats)
+                    .map(KvStore::stats)
                     .unwrap_or_default()
             })
             .collect()
@@ -802,8 +808,6 @@ impl TransformerEngine {
         // (the same pool the ring attention kernels use), so GEMM
         // row-bands and ring compute share one set of worker threads.
         let reference = self.reference_gemm;
-        let total_quant = self.kv_precision == KvPrecision::Int8Total;
-        let qranks = &self.qranks;
         let body = move |comm: &cp_comm::Communicator<RingMsg>| {
             let r = comm.rank();
             let pool = comm.pool();
@@ -813,70 +817,23 @@ impl TransformerEngine {
                 .filter_map(|&pos| tokens.get(pos - base).copied())
                 .collect();
             let t_local = positions.len();
-            let dh = shape.head_dim();
-            let mut caches = lock_caches(&ranks[r]);
-            let mut qcaches = qranks.get(r).filter(|_| total_quant).map(lock_caches);
+            let mut stores = lock_caches(&ranks[r]);
             let mut x = model.embed(&local_tokens);
             for (l, block) in model.blocks().iter().enumerate() {
                 let h = rms_norm_on(pool, &x, config.norm_eps)?;
-                let mut q = project(reference, pool, &block.wq, &h)?.reshape(&[
-                    t_local,
-                    shape.n_heads(),
-                    dh,
-                ])?;
-                let mut k = project(reference, pool, &block.wk, &h)?.reshape(&[
-                    t_local,
-                    shape.n_kv_heads(),
-                    dh,
-                ])?;
-                let v = project(reference, pool, &block.wv, &h)?.reshape(&[
-                    t_local,
-                    shape.n_kv_heads(),
-                    dh,
-                ])?;
-                apply_rope(&mut q, positions, config.rope_base)?;
-                apply_rope(&mut k, positions, config.rope_base)?;
-                caches[l].append(seq, &k, &v, positions)?;
-                if let Some(qc) = qcaches.as_mut() {
-                    qc[l].append(seq, &k, &v, positions)?;
-                }
-
-                let attn = match variant {
-                    // Pass-KV circulates KV on the wire, so it must
-                    // materialize (and pad to the ring geometry).
-                    RingVariant::PassKv => {
-                        let (ck, cv, mut cpos) = caches[l].gather(seq)?;
-                        let ck = ck.pad_dim0(ring_len, 0.0)?;
-                        let cv = cv.pad_dim0(ring_len, 0.0)?;
-                        cpos.resize(ring_len, PAD);
-                        let local = LocalSeq {
-                            q,
-                            q_pos: positions.to_vec(),
-                            k: ck,
-                            v: cv,
-                            kv_pos: cpos,
-                        };
-                        ring_pass_kv_prefill(comm, &params, &spec, std::slice::from_ref(&local))?
-                    }
-                    // Pass-Q keeps KV resident: attend straight over the
-                    // paged cache (zero-copy f32 or INT8 pages).
-                    RingVariant::PassQ => {
-                        let queries = [SeqQ {
-                            q,
-                            pos: positions.to_vec(),
-                        }];
-                        let kv = if let Some(qc) = qcaches.as_ref() {
-                            [RankKv::QuantView(qc[l].view(seq)?)]
-                        } else {
-                            [RankKv::View(caches[l].view(seq)?)]
-                        };
-                        ring_pass_q_prefill(comm, &params, &spec, &queries, &kv)?
-                    }
-                }
-                .pop()
-                .ok_or_else(|| CoreError::Internal {
-                    detail: "ring returned no output for the rank's sequence".to_string(),
-                })?;
+                let (q, k, v) = project_qkv(reference, pool, block, &config, &h, positions)?;
+                stores[l].append(seq, &k, &v, positions)?;
+                let queries = vec![SeqQ {
+                    q,
+                    pos: positions.to_vec(),
+                }];
+                let seqs = [(seq, ring_len)];
+                let attn =
+                    attend_prefill(comm, &params, variant, &spec, &stores[l], &seqs, queries)?
+                        .pop()
+                        .ok_or_else(|| CoreError::Internal {
+                            detail: "ring returned no output for the rank's sequence".to_string(),
+                        })?;
                 let attn_flat = attn.out.reshape(&[t_local, config.model_dim()])?;
                 x.add_assign(&project(reference, pool, &block.wo, &attn_flat)?)?;
                 let h = rms_norm_on(pool, &x, config.norm_eps)?;
@@ -894,11 +851,6 @@ impl TransformerEngine {
             Ok(v) => v,
             Err(e) => {
                 for (rank, &len) in self.ranks.iter().zip(&snapshot) {
-                    for cache in lock_caches(rank).iter_mut() {
-                        let _ = cache.truncate(seq, len);
-                    }
-                }
-                for (rank, &len) in self.qranks.iter().zip(&snapshot) {
                     for cache in lock_caches(rank).iter_mut() {
                         let _ = cache.truncate(seq, len);
                     }
@@ -1103,8 +1055,6 @@ impl TransformerEngine {
         };
 
         let reference = self.reference_gemm;
-        let total_quant = self.kv_precision == KvPrecision::Int8Total;
-        let qranks = &self.qranks;
         let bt = batch.len();
         let batch_tokens: Vec<u32> = batch.iter().map(|&(_, token)| token).collect();
         let batch_tokens_ref = &batch_tokens;
@@ -1112,273 +1062,182 @@ impl TransformerEngine {
             .tp_shards
             .as_deref()
             .filter(|_| strategy == DecodeStrategy::Helix);
-        let attn_block = attn_block_for(self.cache_cfg.page_size);
-        let body =
-            move |comm: &cp_comm::Communicator<RingMsg>| {
-                let r = comm.rank();
-                let pool = comm.pool();
-                let mut caches = lock_caches(&ranks[r]);
-                let mut qcaches = qranks.get(r).filter(|_| total_quant).map(lock_caches);
-                let dh = shape.head_dim();
-                let d_model = config.model_dim();
-                let owned: &[(usize, u32, usize, SeqId)] =
-                    assigned_ref.get(r).map(Vec::as_slice).unwrap_or(&[]);
-                let b = owned.len();
-                let positions: Vec<usize> = owned.iter().map(|&(_, _, pos, _)| pos).collect();
-
-                if strategy == DecodeStrategy::Helix {
-                    let tp = tp_ref.ok_or_else(|| CoreError::Internal {
-                        detail: "helix decode ran without TP weight shards".to_string(),
-                    })?;
-                    // Helix replicates the residual stream: every rank embeds
-                    // the whole batch (a cheap deterministic lookup, no
-                    // communication), so post-attention activations can run
-                    // tensor-parallel without a scatter.
-                    let mut x_all = model.embed(batch_tokens_ref);
-                    for (l, block) in model.blocks().iter().enumerate() {
-                        let h_all = rms_norm_on(pool, &x_all, config.norm_eps)?;
-                        // Owners project and append only their owned rows —
-                        // row-wise ops, so the KV appends and query slots are
-                        // bit-identical to the pass-Q owner path.
-                        let mut slots: Vec<Option<DecodeSlot>> = Vec::with_capacity(slots_per_rank);
-                        if b > 0 {
-                            let mut h_own = Tensor::zeros(&[b, d_model]);
-                            for (j, &(bid, ..)) in owned.iter().enumerate() {
-                                h_own.row_mut(j).copy_from_slice(h_all.row(bid));
-                            }
-                            let mut q_all = project(reference, pool, &block.wq, &h_own)?
-                                .reshape(&[b, shape.n_heads(), dh])?;
-                            let mut k_all = project(reference, pool, &block.wk, &h_own)?
-                                .reshape(&[b, shape.n_kv_heads(), dh])?;
-                            let v_all = project(reference, pool, &block.wv, &h_own)?.reshape(&[
-                                b,
-                                shape.n_kv_heads(),
-                                dh,
-                            ])?;
-                            apply_rope(&mut q_all, &positions, config.rope_base)?;
-                            apply_rope(&mut k_all, &positions, config.rope_base)?;
-                            for (j, &(bid, _, pos, seq)) in owned.iter().enumerate() {
-                                let k_j = k_all.slice_dim0(j..j + 1)?;
-                                let v_j = v_all.slice_dim0(j..j + 1)?;
-                                caches[l].append(seq, &k_j, &v_j, &[pos])?;
-                                if let Some(qc) = qcaches.as_mut() {
-                                    qc[l].append(seq, &k_j, &v_j, &[pos])?;
-                                }
-                                slots.push(Some(DecodeSlot {
-                                    bid,
-                                    q: q_all.slice_dim0(j..j + 1)?,
-                                    pos,
-                                }));
-                            }
-                        }
-                        slots.resize_with(slots_per_rank, || None);
-                        let mut batch_kv: Vec<RankKv<'_>> = Vec::with_capacity(bt);
-                        for &seq in batch_seqs_ref {
-                            batch_kv.push(if let Some(qc) = qcaches.as_ref() {
-                                RankKv::QuantView(qc[l].view(seq)?)
-                            } else {
-                                RankKv::View(caches[l].view(seq)?)
-                            });
-                        }
-                        // KV-parallel attention: one DecodeQ AllGather + the
-                        // exact merge (bitwise equal to the pass-Q ring).
-                        let outs = helix_decode(comm, &params, &slots, &batch_kv)?;
-                        let attn_own = if outs.is_empty() {
-                            Tensor::zeros(&[0, d_model])
-                        } else {
-                            let rows = outs
-                                .into_iter()
-                                .map(|attn| attn.out.reshape(&[1, d_model]))
-                                .collect::<Result<Vec<_>, _>>()?;
-                            Tensor::concat_dim0(rows.iter())?
-                        };
-                        // Reshard to the TP layout: gather every owner's
-                        // merged attention rows so all ranks hold [B, D].
-                        let gathered = comm.all_gather(RingMsg::Act { x: attn_own })?;
-                        let mut attn_all = Tensor::zeros(&[bt, d_model]);
-                        for (src, msg) in gathered.iter().enumerate() {
-                            let RingMsg::Act { x } = msg else {
-                                return Err(CoreError::BadRequest {
-                                    reason: format!(
-                                        "helix reshard AllGather slot {src} carries {}",
-                                        msg.variant_name()
-                                    ),
-                                });
-                            };
-                            let src_owned = assigned_ref.get(src).map(Vec::as_slice).unwrap_or(&[]);
-                            if x.dim0() != src_owned.len() {
-                                return Err(CoreError::Internal {
-                                    detail: format!(
-                                        "helix reshard rank {src} sent {} rows for {} slots",
-                                        x.dim0(),
-                                        src_owned.len()
-                                    ),
-                                });
-                            }
-                            for (j, &(bid, ..)) in src_owned.iter().enumerate() {
-                                attn_all.row_mut(bid).copy_from_slice(x.row(j));
-                            }
-                        }
-                        // Row-parallel output projection over this rank's
-                        // feature slice, AllReduce-summed.
-                        let cols = d_model / n;
-                        let attn_cols = slice_cols(&attn_all, r * cols, (r + 1) * cols)?;
-                        let wo_out = act_all_reduce(
-                            comm,
-                            project(reference, pool, &tp[l].wo_rows[r], &attn_cols)?,
-                        )?;
-                        x_all.add_assign(&wo_out)?;
-                        // TP FFN: gate/up column-parallel (local), down
-                        // row-parallel + AllReduce.
-                        let h2 = rms_norm_on(pool, &x_all, config.norm_eps)?;
-                        let mut g = project(reference, pool, &tp[l].gate_cols[r], &h2)?.map(silu);
-                        let u = project(reference, pool, &tp[l].up_cols[r], &h2)?;
-                        g.mul_assign(&u)?;
-                        let ffn_out = act_all_reduce(
-                            comm,
-                            project(reference, pool, &tp[l].down_rows[r], &g)?,
-                        )?;
-                        x_all.add_assign(&ffn_out)?;
+        let body = move |comm: &cp_comm::Communicator<RingMsg>| {
+            let r = comm.rank();
+            let pool = comm.pool();
+            let mut stores = lock_caches(&ranks[r]);
+            let d_model = config.model_dim();
+            let owned: &[(usize, u32, usize, SeqId)] =
+                assigned_ref.get(r).map(Vec::as_slice).unwrap_or(&[]);
+            let b = owned.len();
+            let positions: Vec<usize> = owned.iter().map(|&(_, _, pos, _)| pos).collect();
+            // The owner step of one layer, shared by every strategy: owner
+            // ranks project their owned rows `h` ([b, D], normed) in one
+            // batched GEMM (continuous batching's arithmetic-intensity
+            // win), append each token's KV to its session, and emit the
+            // rank's query slots padded to the common slot count.
+            let owner_step = |block: &Block, h: Option<&Tensor>, store: &mut KvStore| {
+                let mut slots: Vec<Option<DecodeSlot>> = Vec::with_capacity(slots_per_rank);
+                if let Some(h) = h {
+                    let (q_all, k_all, v_all) =
+                        project_qkv(reference, pool, block, &config, h, &positions)?;
+                    for (j, &(bid, _, pos, seq)) in owned.iter().enumerate() {
+                        let k_j = k_all.slice_dim0(j..j + 1)?;
+                        let v_j = v_all.slice_dim0(j..j + 1)?;
+                        store.append(seq, &k_j, &v_j, &[pos])?;
+                        slots.push(Some(DecodeSlot {
+                            bid,
+                            q: q_all.slice_dim0(j..j + 1)?,
+                            pos,
+                        }));
                     }
-                    if b == 0 {
-                        return Ok(None);
-                    }
-                    let x_final = rms_norm_on(pool, &x_all, config.norm_eps)?;
-                    let mut mine = Tensor::zeros(&[b, d_model]);
-                    for (j, &(bid, ..)) in owned.iter().enumerate() {
-                        mine.row_mut(j).copy_from_slice(x_final.row(bid));
-                    }
-                    return Ok(Some(mine));
                 }
+                slots.resize_with(slots_per_rank, || None);
+                Ok::<_, CoreError>(slots)
+            };
 
-                let tokens: Vec<u32> = owned.iter().map(|&(_, token, _, _)| token).collect();
-                let mut x = (b > 0).then(|| model.embed(&tokens));
+            if let Some(tp) = tp_ref {
+                // Helix replicates the residual stream: every rank embeds
+                // the whole batch (a cheap deterministic lookup, no
+                // communication), so post-attention activations can run
+                // tensor-parallel without a scatter.
+                let mut x_all = model.embed(batch_tokens_ref);
                 for (l, block) in model.blocks().iter().enumerate() {
-                    // Owner ranks project all their owned tokens in one
-                    // batched GEMM (continuous batching's arithmetic-intensity
-                    // win) and append each token's KV to its session.
-                    let mut slots: Vec<Option<DecodeSlot>> = Vec::with_capacity(slots_per_rank);
-                    if let Some(x_ref) = &x {
-                        let h = rms_norm_on(pool, x_ref, config.norm_eps)?;
-                        let mut q_all = project(reference, pool, &block.wq, &h)?.reshape(&[
-                            b,
-                            shape.n_heads(),
-                            dh,
-                        ])?;
-                        let mut k_all = project(reference, pool, &block.wk, &h)?.reshape(&[
-                            b,
-                            shape.n_kv_heads(),
-                            dh,
-                        ])?;
-                        let v_all = project(reference, pool, &block.wv, &h)?.reshape(&[
-                            b,
-                            shape.n_kv_heads(),
-                            dh,
-                        ])?;
-                        apply_rope(&mut q_all, &positions, config.rope_base)?;
-                        apply_rope(&mut k_all, &positions, config.rope_base)?;
-                        for (j, &(bid, _, pos, seq)) in owned.iter().enumerate() {
-                            let k_j = k_all.slice_dim0(j..j + 1)?;
-                            let v_j = v_all.slice_dim0(j..j + 1)?;
-                            caches[l].append(seq, &k_j, &v_j, &[pos])?;
-                            if let Some(qc) = qcaches.as_mut() {
-                                qc[l].append(seq, &k_j, &v_j, &[pos])?;
-                            }
-                            slots.push(Some(DecodeSlot {
-                                bid,
-                                q: q_all.slice_dim0(j..j + 1)?,
-                                pos,
-                            }));
+                    // Owners project only their owned rows — row-wise ops,
+                    // so the appends and query slots are bit-identical to
+                    // the pass-Q owner path.
+                    let h_own = if b > 0 {
+                        let h_all = rms_norm_on(pool, &x_all, config.norm_eps)?;
+                        let mut h_own = Tensor::zeros(&[b, d_model]);
+                        for (j, &(bid, ..)) in owned.iter().enumerate() {
+                            h_own.row_mut(j).copy_from_slice(h_all.row(bid));
                         }
-                    }
-                    slots.resize_with(slots_per_rank, || None);
-                    // The decode hot path: every rank attends over its own
-                    // resident cache of every batched session. The zero-copy
-                    // views keep the per-step cost at O(pages) instead of an
-                    // O(context) gather copy.
-                    let mut batch_kv: Vec<RankKv<'_>> = Vec::with_capacity(batch_seqs_ref.len());
-                    for &seq in batch_seqs_ref {
-                        batch_kv.push(if let Some(qc) = qcaches.as_ref() {
-                            RankKv::QuantView(qc[l].view(seq)?)
-                        } else {
-                            RankKv::View(caches[l].view(seq)?)
-                        });
-                    }
-                    let outs = match strategy {
-                        DecodeStrategy::PassQ => {
-                            ring_pass_q_decode(comm, &params, &spec, &slots, &batch_kv)?
-                        }
-                        // TP-only: broadcast this rank's post-append shard of
-                        // every batched session; owners fold one partial per
-                        // shard in rank order — bit-identical to pass-Q.
-                        DecodeStrategy::TpOnly => {
-                            let wire: Vec<SeqKv> = if n > 1 {
-                                batch_seqs_ref
-                                    .iter()
-                                    .map(|&seq| {
-                                        if let Some(qc) = qcaches.as_ref() {
-                                            let (k, v, pos) = qc[l].gather_quantized(seq)?;
-                                            Ok(SeqKv {
-                                                k: k.dequantize(),
-                                                v: v.dequantize(),
-                                                pos,
-                                            })
-                                        } else {
-                                            let (ck, cv, cpos) = caches[l].gather(seq)?;
-                                            Ok(SeqKv {
-                                                k: ck,
-                                                v: cv,
-                                                pos: cpos,
-                                            })
-                                        }
-                                    })
-                                    .collect::<Result<_, CoreError>>()?
-                            } else {
-                                Vec::new()
-                            };
-                            tp_only_decode(comm, &params, &slots, &batch_kv, &wire, attn_block)?
-                        }
-                        DecodeStrategy::Helix => {
-                            return Err(CoreError::Internal {
-                                detail: "helix decode fell through to the owner-local path"
-                                    .to_string(),
-                            });
-                        }
+                        Some(h_own)
+                    } else {
+                        None
                     };
-                    if let Some(x_val) = x.take() {
+                    let slots = owner_step(block, h_own.as_ref(), &mut stores[l])?;
+                    // KV-parallel attention: one DecodeQ AllGather + the
+                    // exact merge (bitwise equal to the pass-Q ring).
+                    let outs = attend_decode(
+                        comm,
+                        &params,
+                        strategy,
+                        &spec,
+                        &stores[l],
+                        &slots,
+                        batch_seqs_ref,
+                    )?;
+                    let attn_own = if outs.is_empty() {
+                        Tensor::zeros(&[0, d_model])
+                    } else {
                         let rows = outs
                             .into_iter()
-                            .map(|attn| attn.out.reshape(&[1, config.model_dim()]))
+                            .map(|attn| attn.out.reshape(&[1, d_model]))
                             .collect::<Result<Vec<_>, _>>()?;
-                        let attn_flat = Tensor::concat_dim0(rows.iter())?;
-                        let mut x_new = x_val;
-                        x_new.add_assign(&project(reference, pool, &block.wo, &attn_flat)?)?;
-                        let h = rms_norm_on(pool, &x_new, config.norm_eps)?;
-                        let f = if reference {
-                            block.ffn.forward_naive(&h)?
-                        } else {
-                            block.ffn.forward_on(pool, &h)?
+                        Tensor::concat_dim0(rows.iter())?
+                    };
+                    // Reshard to the TP layout: gather every owner's
+                    // merged attention rows so all ranks hold [B, D].
+                    let gathered = comm.all_gather(RingMsg::Act { x: attn_own })?;
+                    let mut attn_all = Tensor::zeros(&[bt, d_model]);
+                    for (src, msg) in gathered.iter().enumerate() {
+                        let RingMsg::Act { x } = msg else {
+                            return Err(CoreError::BadRequest {
+                                reason: format!(
+                                    "helix reshard AllGather slot {src} carries {}",
+                                    msg.variant_name()
+                                ),
+                            });
                         };
-                        x_new.add_assign(&f)?;
-                        x = Some(x_new);
+                        let src_owned = assigned_ref.get(src).map(Vec::as_slice).unwrap_or(&[]);
+                        if x.dim0() != src_owned.len() {
+                            return Err(CoreError::Internal {
+                                detail: format!(
+                                    "helix reshard rank {src} sent {} rows for {} slots",
+                                    x.dim0(),
+                                    src_owned.len()
+                                ),
+                            });
+                        }
+                        for (j, &(bid, ..)) in src_owned.iter().enumerate() {
+                            attn_all.row_mut(bid).copy_from_slice(x.row(j));
+                        }
                     }
+                    // Row-parallel output projection over this rank's
+                    // feature slice, AllReduce-summed.
+                    let cols = d_model / n;
+                    let attn_cols = slice_cols(&attn_all, r * cols, (r + 1) * cols)?;
+                    let wo_out = act_all_reduce(
+                        comm,
+                        project(reference, pool, &tp[l].wo_rows[r], &attn_cols)?,
+                    )?;
+                    x_all.add_assign(&wo_out)?;
+                    // TP FFN: gate/up column-parallel (local), down
+                    // row-parallel + AllReduce.
+                    let h2 = rms_norm_on(pool, &x_all, config.norm_eps)?;
+                    let mut g = project(reference, pool, &tp[l].gate_cols[r], &h2)?.map(silu);
+                    let u = project(reference, pool, &tp[l].up_cols[r], &h2)?;
+                    g.mul_assign(&u)?;
+                    let ffn_out =
+                        act_all_reduce(comm, project(reference, pool, &tp[l].down_rows[r], &g)?)?;
+                    x_all.add_assign(&ffn_out)?;
                 }
-                match x {
-                    Some(x) => Ok(Some(rms_norm_on(pool, &x, config.norm_eps)?)),
-                    None => Ok(None),
+                if b == 0 {
+                    return Ok(None);
                 }
-            };
+                let x_final = rms_norm_on(pool, &x_all, config.norm_eps)?;
+                let mut mine = Tensor::zeros(&[b, d_model]);
+                for (j, &(bid, ..)) in owned.iter().enumerate() {
+                    mine.row_mut(j).copy_from_slice(x_final.row(bid));
+                }
+                return Ok(Some(mine));
+            }
+
+            let tokens: Vec<u32> = owned.iter().map(|&(_, token, _, _)| token).collect();
+            let mut x = (b > 0).then(|| model.embed(&tokens));
+            for (l, block) in model.blocks().iter().enumerate() {
+                let h = x
+                    .as_ref()
+                    .map(|x| rms_norm_on(pool, x, config.norm_eps))
+                    .transpose()?;
+                let slots = owner_step(block, h.as_ref(), &mut stores[l])?;
+                // Pass-Q ring or TP-only gather over every rank's resident
+                // shard of every batched session, attended in place.
+                let outs = attend_decode(
+                    comm,
+                    &params,
+                    strategy,
+                    &spec,
+                    &stores[l],
+                    &slots,
+                    batch_seqs_ref,
+                )?;
+                if let Some(x) = x.as_mut() {
+                    let rows = outs
+                        .into_iter()
+                        .map(|attn| attn.out.reshape(&[1, d_model]))
+                        .collect::<Result<Vec<_>, _>>()?;
+                    let attn_flat = Tensor::concat_dim0(rows.iter())?;
+                    x.add_assign(&project(reference, pool, &block.wo, &attn_flat)?)?;
+                    let h = rms_norm_on(pool, x, config.norm_eps)?;
+                    let f = if reference {
+                        block.ffn.forward_naive(&h)?
+                    } else {
+                        block.ffn.forward_on(pool, &h)?
+                    };
+                    x.add_assign(&f)?;
+                }
+            }
+            x.map(|x| rms_norm_on(pool, &x, config.norm_eps))
+                .transpose()
+        };
         let ring_result = run_ring_on(n, self.pool_threads, plan.as_ref(), body);
         let (outputs, traffic) = match ring_result {
             Ok(v) => v,
             Err(e) => {
                 for &(owner, seq, len) in &snapshots {
                     if let Some(rank) = self.ranks.get(owner) {
-                        for cache in lock_caches(rank).iter_mut() {
-                            let _ = cache.truncate(seq, len);
-                        }
-                    }
-                    if let Some(rank) = self.qranks.get(owner) {
                         for cache in lock_caches(rank).iter_mut() {
                             let _ = cache.truncate(seq, len);
                         }
@@ -1594,20 +1453,34 @@ mod tests {
     #[test]
     fn helix_and_tp_only_decode_pass_checked_schedules() {
         // Checked mode validates live traffic against the stacked
-        // per-layer plans (`helix_layer_plan` / `tp_only_decode_plan`);
-        // any drift between the declared reshard collectives and what the
-        // decode body issues fails the tick.
-        for strategy in [DecodeStrategy::Helix, DecodeStrategy::TpOnly] {
-            for n in [1usize, 2, 4] {
-                let mut engine = TransformerEngine::new(model(41), n)
-                    .unwrap()
-                    .with_schedule_checking(true)
-                    .with_decode_strategy(strategy);
-                engine.prefill(&(0..11u32).collect::<Vec<_>>()).unwrap();
-                for t in 0..3 {
-                    engine.decode(20 + t).unwrap();
+        // per-layer plans (`helix_layer_plan` / `tp_only_decode_plan` /
+        // the pass-Q decode ring); any drift between the declared
+        // collectives and what the decode body issues fails the tick, at
+        // either storage precision. Checked runs stay bit-identical to
+        // unchecked ones.
+        let strategies = [
+            DecodeStrategy::PassQ,
+            DecodeStrategy::Helix,
+            DecodeStrategy::TpOnly,
+        ];
+        for strategy in strategies {
+            for precision in [KvPrecision::F32, KvPrecision::Int8Total] {
+                for n in [1usize, 2, 4] {
+                    let run = |checked: bool| {
+                        let mut engine = TransformerEngine::new(model(41), n)
+                            .unwrap()
+                            .with_kv_precision(precision)
+                            .with_schedule_checking(checked)
+                            .with_decode_strategy(strategy);
+                        engine.prefill(&(0..11u32).collect::<Vec<_>>()).unwrap();
+                        let outs: Vec<Tensor> = (0..3)
+                            .map(|t| engine.decode(20 + t).unwrap().activations)
+                            .collect();
+                        assert_eq!(engine.context_len(), 14);
+                        outs
+                    };
+                    assert_eq!(run(true), run(false), "{strategy:?} {precision:?} n={n}");
                 }
-                assert_eq!(engine.context_len(), 14);
             }
         }
     }

@@ -1,15 +1,16 @@
 //! The serving scheduler's exactness and latency contracts:
 //!
 //! * Chunked prefill is **bitwise** identical to one-shot prefill — any
-//!   chunk size, any rank count, either ring variant (the turn's sharding
-//!   and variant are fixed once at `begin_prefill`).
+//!   chunk size, any rank count, either ring variant, f32 or INT8 storage
+//!   (the turn's sharding and variant are fixed once at `begin_prefill`).
 //! * Interleaved multi-session serving (batched decode, interleaved turn
 //!   prefills) is **bitwise** identical, per session, to serving each
-//!   conversation alone on a fresh engine.
+//!   conversation alone on a fresh engine, at f32 or INT8 storage.
 //! * The scheduler's continuous batching keeps decode ticking every tick
 //!   while a long prompt prefills in chunks — bounded TBT — and its
 //!   completed outputs are bit-identical to solo replays.
 
+use cp_core::KvPrecision;
 use cp_kvcache::SeqId;
 use cp_model::{Transformer, TransformerConfig};
 use cp_perf::RingVariant;
@@ -36,9 +37,17 @@ fn conv(turns: &[(usize, usize)]) -> Conversation {
 #[test]
 fn chunked_prefill_is_bitwise_identical_to_one_shot() {
     let prompt: Vec<u32> = (0..17).map(|i| 1 + i as u32 * 3).collect();
+    let cells = [RingVariant::PassKv, RingVariant::PassQ]
+        .into_iter()
+        .flat_map(|v| [(v, KvPrecision::F32), (v, KvPrecision::Int8Total)]);
     for n in [1usize, 2, 3] {
-        for variant in [RingVariant::PassKv, RingVariant::PassQ] {
-            let mut oneshot = TransformerEngine::new(model(7), n).unwrap();
+        for (variant, precision) in cells.clone() {
+            let engine_at = || {
+                TransformerEngine::new(model(7), n)
+                    .unwrap()
+                    .with_kv_precision(precision)
+            };
+            let mut oneshot = engine_at();
             oneshot.create_session(SeqId(1)).unwrap();
             let expected = oneshot
                 .prefill_session_with(SeqId(1), &prompt, Some(variant))
@@ -46,7 +55,7 @@ fn chunked_prefill_is_bitwise_identical_to_one_shot() {
                 .activations;
 
             for chunk in [1usize, 3, 5, 100] {
-                let mut engine = TransformerEngine::new(model(7), n).unwrap();
+                let mut engine = engine_at();
                 engine.create_session(SeqId(1)).unwrap();
                 let mut turn = engine
                     .begin_prefill(SeqId(1), &prompt, Some(variant))
@@ -59,7 +68,7 @@ fn chunked_prefill_is_bitwise_identical_to_one_shot() {
                 assert_eq!(
                     joined.as_slice(),
                     expected.as_slice(),
-                    "chunk={chunk} n={n} variant={variant:?} diverged from one-shot"
+                    "chunk={chunk} n={n} {variant:?} {precision:?} diverged from one-shot"
                 );
             }
         }
@@ -95,10 +104,19 @@ fn chunked_prefill_resumes_bitwise_across_later_turns() {
     }
 }
 
-/// Replays one conversation alone on a fresh single-session engine,
-/// returning its per-token decode activations.
-fn solo_replay(seed: u64, n: usize, request: u64, c: &Conversation, vocab: u32) -> Vec<Tensor> {
-    let mut engine = TransformerEngine::new(model(seed), n).unwrap();
+/// Replays one conversation alone on a fresh single-session engine at
+/// `precision`, returning its per-token decode activations.
+fn solo_replay(
+    seed: u64,
+    n: usize,
+    precision: KvPrecision,
+    request: u64,
+    c: &Conversation,
+    vocab: u32,
+) -> Vec<Tensor> {
+    let mut engine = TransformerEngine::new(model(seed), n)
+        .unwrap()
+        .with_kv_precision(precision);
     let seq = SeqId(99);
     engine.create_session(seq).unwrap();
     let mut consumed = 0usize;
@@ -128,12 +146,18 @@ fn solo_replay(seed: u64, n: usize, request: u64, c: &Conversation, vocab: u32) 
 fn interleaved_sessions_are_bit_identical_to_solo_runs() {
     // Two conversations served concurrently — batched decode ticks,
     // interleaved turn prefills — must emit, per session, exactly the
-    // activations of serving each conversation alone (CP 1 and 2).
+    // activations of serving each conversation alone (CP 1 and 2, f32 and
+    // INT8 storage).
     let vocab = 128;
     let conv_a = conv(&[(6, 4), (3, 3)]);
     let conv_b = conv(&[(9, 8)]);
-    for n in [1usize, 2] {
-        let mut engine = TransformerEngine::new(model(21), n).unwrap();
+    let cells = [1usize, 2]
+        .into_iter()
+        .flat_map(|n| [(n, KvPrecision::F32), (n, KvPrecision::Int8Total)]);
+    for (n, precision) in cells {
+        let mut engine = TransformerEngine::new(model(21), n)
+            .unwrap()
+            .with_kv_precision(precision);
         let (sa, sb) = (SeqId(1), SeqId(2));
         engine.create_session(sa).unwrap();
         engine.create_session(sb).unwrap();
@@ -190,15 +214,15 @@ fn interleaved_sessions_are_bit_identical_to_solo_runs() {
             got_b.push(out.remove(0));
         }
 
-        let solo_a = solo_replay(21, n, 0, &conv_a, vocab);
-        let solo_b = solo_replay(21, n, 1, &conv_b, vocab);
+        let solo_a = solo_replay(21, n, precision, 0, &conv_a, vocab);
+        let solo_b = solo_replay(21, n, precision, 1, &conv_b, vocab);
         assert_eq!(got_a.len(), solo_a.len());
         assert_eq!(got_b.len(), solo_b.len());
         for (i, (got, want)) in got_a.iter().zip(&solo_a).enumerate() {
-            assert_eq!(got.as_slice(), want.as_slice(), "A token {i} n={n}");
+            assert_eq!(got.as_slice(), want.as_slice(), "A {i} n={n} {precision:?}");
         }
         for (i, (got, want)) in got_b.iter().zip(&solo_b).enumerate() {
-            assert_eq!(got.as_slice(), want.as_slice(), "B token {i} n={n}");
+            assert_eq!(got.as_slice(), want.as_slice(), "B {i} n={n} {precision:?}");
         }
     }
 }
@@ -223,7 +247,7 @@ fn scheduler_outputs_are_bit_identical_to_solo_replays() {
         assert_eq!(sched.outputs().len(), 2);
         for (request, got) in sched.outputs() {
             let c = if *request == 0 { &conv_a } else { &conv_b };
-            let want = solo_replay(33, n, *request, c, vocab);
+            let want = solo_replay(33, n, KvPrecision::F32, *request, c, vocab);
             assert_eq!(got.len(), want.len(), "request {request} n={n}");
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(

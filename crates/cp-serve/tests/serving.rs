@@ -474,7 +474,7 @@ fn int8_wire_checked_schedules_validate_quant_plans() {
     // Live schedule checking with compressed hops: the declared plans
     // come from the quant template builders, so every per-hop byte count
     // the fabric observes must match the INT8 wire format exactly — for
-    // both ring directions.
+    // both ring directions, with f32 or INT8 storage behind the wire.
     use cp_core::schedule::RingLayout;
     use cp_core::KvPrecision;
     use cp_perf::RingDirection;
@@ -484,16 +484,19 @@ fn int8_wire_checked_schedules_validate_quant_plans() {
         &[11, 12, 13],
         &[101],
     ];
-    for direction in [RingDirection::Uni, RingDirection::Bidi] {
+    let cells = [RingDirection::Uni, RingDirection::Bidi]
+        .into_iter()
+        .flat_map(|d| [(d, KvPrecision::Int8Wire), (d, KvPrecision::Int8Total)]);
+    for (direction, precision) in cells {
         let mut checked = TransformerEngine::new(model(71), 4)
             .unwrap()
             .with_schedule(direction, RingLayout::Flat)
-            .with_kv_precision(KvPrecision::Int8Wire)
+            .with_kv_precision(precision)
             .with_schedule_checking(true);
         let mut plain = TransformerEngine::new(model(71), 4)
             .unwrap()
             .with_schedule(direction, RingLayout::Flat)
-            .with_kv_precision(KvPrecision::Int8Wire);
+            .with_kv_precision(precision);
         for (i, chunk) in trace.iter().enumerate() {
             let decode = chunk.len() == 1 && i > 0;
             let (c, p) = if decode {
@@ -513,9 +516,64 @@ fn int8_wire_checked_schedules_validate_quant_plans() {
             };
             assert_eq!(
                 c.activations, p.activations,
-                "direction={direction:?} step {i}: checked quant run must be bit-identical"
+                "{direction:?} {precision:?} step {i}: checked quant run must be bit-identical"
             );
             assert_eq!(c.traffic.send_recv_bytes, p.traffic.send_recv_bytes);
         }
+    }
+}
+
+#[test]
+fn switching_to_int8_total_after_tokens_matches_int8_total_from_start() {
+    // Switching to INT8 storage after a session holds tokens must build
+    // every INT8 twin from its f32 master, and a round trip through F32
+    // must not leave a stale twin behind. Scales are token-local, so a
+    // rebuilt twin is bitwise the one quantize-on-append writes. The model
+    // has one layer: its cached K/V are projections of the embeddings, so
+    // they do not depend on the precision the pre-switch attention ran
+    // at (a deeper layer's K/V would), and the decodes after the switch
+    // compare bit for bit against INT8 storage from the first token.
+    use cp_core::KvPrecision::{Int8Total, F32};
+    let one_layer = TransformerConfig {
+        n_layers: 1,
+        ..TransformerConfig::tiny()
+    };
+    let prompt: Vec<u32> = (1..12).collect();
+    for n in [1usize, 2] {
+        let engine = |precision| {
+            TransformerEngine::new(Transformer::new(&one_layer, 67), n)
+                .unwrap()
+                .with_kv_precision(precision)
+        };
+        let decodes = |engine: &mut TransformerEngine, tokens: std::ops::Range<u32>| {
+            tokens
+                .map(|t| engine.decode(t).unwrap().activations)
+                .collect::<Vec<_>>()
+        };
+        let mut from_start = engine(Int8Total);
+        from_start.prefill(&prompt).unwrap();
+        let expected = decodes(&mut from_start, 50..54);
+
+        // F32 → Int8Total once the prompt is cached.
+        let mut late = engine(F32);
+        late.prefill(&prompt).unwrap();
+        let mut late = late.with_kv_precision(Int8Total);
+        assert_eq!(
+            decodes(&mut late, 50..54),
+            expected,
+            "n={n}: F32 -> Int8Total"
+        );
+
+        // Int8Total → F32 → Int8Total, with one token cached at F32.
+        let mut round = engine(Int8Total);
+        round.prefill(&prompt).unwrap();
+        let mut round = round.with_kv_precision(F32);
+        round.decode(50).unwrap();
+        let mut round = round.with_kv_precision(Int8Total);
+        assert_eq!(
+            decodes(&mut round, 51..54),
+            expected[1..],
+            "n={n}: Int8Total -> F32 -> Int8Total"
+        );
     }
 }
