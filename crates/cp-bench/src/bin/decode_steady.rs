@@ -37,10 +37,8 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use cp_attention::{AttentionParams, GqaShape};
-use cp_core::ring::{
-    attn_block_for, helix_decode, ring_pass_q_decode, run_ring, tp_only_decode, RankKv,
-};
-use cp_core::{DecodeSlot, RingSpec, SeqKv};
+use cp_core::ring::{ring_pass_q_decode, run_ring};
+use cp_core::{attend_decode, DecodeSlot, RingSpec, SeqKv};
 use cp_kvcache::{KvCacheConfig, PagedKvCache, SeqId};
 use cp_perf::{choose_decode_strategy, DecodeStrategy, ModelSpec, TopologySpec};
 use cp_tensor::{DetRng, Tensor};
@@ -132,7 +130,6 @@ fn run_steps(
     mode: Mode,
 ) -> (Duration, Vec<f32>) {
     let cp = caches.len();
-    let attn_block = attn_block_for(PAGE_SIZE);
     let mut first_out = Vec::new();
     let start = Instant::now();
     for (step, input) in inputs.iter().enumerate() {
@@ -150,30 +147,18 @@ fn run_steps(
             } else {
                 None
             };
-            let kv = if mode == Mode::GatherPassQ {
-                let (k, v, pos) = cache.gather(SEQ)?;
-                [SeqKv { k, v, pos }.into()]
-            } else {
-                [RankKv::View(cache.view(SEQ)?)]
+            let spec = RingSpec::default();
+            let strategy = match mode {
+                Mode::GatherPassQ => {
+                    let (k, v, pos) = cache.gather(SEQ)?;
+                    let kv = [SeqKv { k, v, pos }.into()];
+                    return ring_pass_q_decode(comm, params, &spec, &[slot], &kv);
+                }
+                Mode::ViewPassQ => DecodeStrategy::PassQ,
+                Mode::ViewHelix => DecodeStrategy::Helix,
+                Mode::ViewTpOnly => DecodeStrategy::TpOnly,
             };
-            match mode {
-                Mode::GatherPassQ | Mode::ViewPassQ => {
-                    ring_pass_q_decode(comm, params, &RingSpec::default(), &[slot], &kv)
-                }
-                Mode::ViewHelix => helix_decode(comm, params, &[slot], &kv),
-                Mode::ViewTpOnly => {
-                    // The O(T) shard copy feeds the Kv AllGather; at
-                    // W = 1 nothing is sent and the owner attends its
-                    // local view directly, so skip it.
-                    let wire = if cp > 1 {
-                        let (k, v, pos) = cache.gather(SEQ)?;
-                        vec![SeqKv { k, v, pos }]
-                    } else {
-                        Vec::new()
-                    };
-                    tp_only_decode(comm, params, &[slot], &kv, &wire, attn_block)
-                }
-            }
+            attend_decode(comm, params, strategy, &spec, &cache, &[slot], &[SEQ])
         };
         let (outs, _) = run_ring(cp, body).expect("decode step");
         if step == 0 {

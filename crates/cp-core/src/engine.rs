@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use cp_attention::{AttentionOutput, AttentionParams, GqaShape};
 use cp_comm::TrafficReport;
-use cp_kvcache::{KvCacheConfig, SeqId};
+use cp_kvcache::{KvCacheConfig, PagedKvCache, SeqId};
 use cp_perf::{DecodeStrategy, RingDirection, RingVariant, TopologySpec};
 use cp_sharding::{decode_round_robin, shard_varseq_with, SequenceSpec, ShardStrategy};
 use cp_tensor::Tensor;
@@ -14,7 +14,7 @@ use crate::messages::{DecodeSlot, SeqQ};
 use crate::ring::run_ring;
 use crate::schedule::RingLayout;
 use crate::spec::SchedulePolicy;
-use crate::store::{attend_decode, attend_prefill, KvStore};
+use crate::store::{attend_decode, attend_prefill};
 use crate::CoreError;
 
 /// Precision of the KV-cache hot path and the pass-KV wire format.
@@ -36,11 +36,11 @@ pub enum KvPrecision {
     /// `(token, head)` vector travels as `d` one-byte codes plus one f32
     /// scale — `4d/(d+4)` (~3.9× at `d = 128`) fewer bytes per hop.
     Int8Wire,
-    /// INT8 wire *and* INT8 paged storage: pass-Q prefill and decode
-    /// attend the quantized pages zero-copy through the dequantize-in-
-    /// kernel path. The engine keeps the f32 pages as the exactness
-    /// master for rollback and pass-KV gathers; an accelerator
-    /// deployment would drop them for the 4× capacity win.
+    /// INT8 wire *and* INT8 paged storage: every cache page carries an
+    /// INT8 plane, and pass-Q prefill and decode attend it zero-copy
+    /// through the dequantize-in-kernel path. The f32 values stay beside
+    /// it as the exact record for rollback and pass-KV gathers; an
+    /// accelerator deployment would drop them for the 4× capacity win.
     Int8Total,
 }
 
@@ -238,7 +238,7 @@ pub struct PrefillRequest<'a> {
 pub struct ContextParallelEngine {
     config: EngineConfig,
     params: AttentionParams,
-    stores: Vec<KvStore>,
+    caches: Vec<PagedKvCache>,
     lens: HashMap<u64, usize>,
     decode_step: usize,
 }
@@ -265,13 +265,17 @@ impl ContextParallelEngine {
         if let Some(max) = config.max_pages_per_rank {
             cache_cfg = cache_cfg.with_max_pages(max);
         }
-        let stores = (0..config.n_ranks)
-            .map(|_| KvStore::new(cache_cfg, config.kv_precision))
+        let caches = (0..config.n_ranks)
+            .map(|_| {
+                let mut cache = PagedKvCache::new(cache_cfg);
+                cache.set_int8(config.kv_precision == KvPrecision::Int8Total);
+                cache
+            })
             .collect();
         Ok(ContextParallelEngine {
             params: AttentionParams::for_shape(config.shape),
             config,
-            stores,
+            caches,
             lens: HashMap::new(),
             decode_step: 0,
         })
@@ -319,7 +323,7 @@ impl ContextParallelEngine {
             });
         }
         Ok(self
-            .stores
+            .caches
             .iter()
             .map(|c| c.seq_len(seq).unwrap_or(0))
             .collect())
@@ -327,7 +331,7 @@ impl ContextParallelEngine {
 
     /// Per-rank cache occupancy statistics.
     pub fn cache_stats(&self) -> Vec<cp_kvcache::CacheStats> {
-        self.stores.iter().map(KvStore::stats).collect()
+        self.caches.iter().map(PagedKvCache::stats).collect()
     }
 
     /// Releases a sequence on every rank.
@@ -341,7 +345,7 @@ impl ContextParallelEngine {
                 reason: format!("unknown sequence {seq}"),
             });
         }
-        for c in &mut self.stores {
+        for c in &mut self.caches {
             c.free_sequence(seq)?;
         }
         Ok(())
@@ -363,13 +367,13 @@ impl ContextParallelEngine {
             });
         }
         let new_len = len - n_tokens;
-        for store in &mut self.stores {
+        for cache in &mut self.caches {
             // Per-rank positions ascend (turns and decode steps append in
             // position order), so everything >= new_len is a suffix.
-            let pos = store.positions(seq)?;
+            let pos = cache.positions(seq)?;
             let keep = pos.iter().take_while(|&&p| p < new_len).count();
             debug_assert!(pos.iter().skip(keep).all(|&p| p >= new_len));
-            store.truncate(seq, keep)?;
+            cache.truncate(seq, keep)?;
         }
         self.lens.insert(seq.0, new_len);
         Ok(())
@@ -484,14 +488,14 @@ impl ContextParallelEngine {
                 match snapshot {
                     // Newly created this call: remove entirely.
                     None => {
-                        for c in &mut self.stores {
+                        for c in &mut self.caches {
                             let _ = c.free_sequence(req.seq);
                         }
                     }
                     // Pre-existing: drop whatever this call appended (the
                     // appended positions are a per-rank suffix).
                     Some(lens) => {
-                        for (c, &len) in self.stores.iter_mut().zip(lens) {
+                        for (c, &len) in self.caches.iter_mut().zip(lens) {
                             let _ = c.truncate(req.seq, len);
                         }
                     }
@@ -511,19 +515,19 @@ impl ContextParallelEngine {
         // Register new sequences on every rank.
         for (r, spec) in requests.iter().zip(specs) {
             if spec.cached_tokens == 0 && !self.lens.contains_key(&r.seq.0) {
-                for c in &mut self.stores {
+                for c in &mut self.caches {
                     c.create_sequence(r.seq)?;
                 }
             }
         }
 
         // Shard new tokens (Figure 1/2) and append each rank's share to
-        // its store: each selected row lands straight in its page slot.
+        // its cache: each selected row lands straight in its page slot.
         let shards = shard_varseq_with(specs, n, self.config.shard_strategy)?;
         for (rank, shard) in shards.iter().enumerate() {
             for (entry, (req, spec)) in shard.entries.iter().zip(requests.iter().zip(specs)) {
                 let rows = shard_rows(&entry.positions, spec);
-                rank_input_mut(&mut self.stores, rank)?.append_rows(
+                rank_input_mut(&mut self.caches, rank)?.append_rows(
                     req.seq,
                     req.k,
                     req.v,
@@ -552,7 +556,7 @@ impl ContextParallelEngine {
             .iter()
             .map(|req| {
                 let lens = self
-                    .stores
+                    .caches
                     .iter()
                     .map(|c| c.seq_len(req.seq))
                     .collect::<Result<Vec<_>, _>>()?;
@@ -561,7 +565,7 @@ impl ContextParallelEngine {
             .collect::<Result<Vec<_>, CoreError>>()?;
 
         let params = self.params;
-        let stores = &self.stores;
+        let caches = &self.caches;
         let shards_ref = &shards;
         let (rank_outputs, traffic) = run_ring(n, |comm| {
             let shard = rank_input(shards_ref, comm.rank())?;
@@ -576,8 +580,8 @@ impl ContextParallelEngine {
                     })
                 })
                 .collect::<Result<Vec<_>, CoreError>>()?;
-            let store = rank_input(stores, comm.rank())?;
-            attend_prefill(comm, &params, variant, &spec, store, &seqs, queries)
+            let cache = rank_input(caches, comm.rank())?;
+            attend_prefill(comm, &params, variant, &spec, cache, &seqs, queries)
         })?;
 
         // Un-shard: scatter each rank's rows back into original token order.
@@ -664,7 +668,7 @@ impl ContextParallelEngine {
             let rank = assignment.rank_of(b);
             let pos = self.context_len(*seq)?;
             ctx_total += pos + 1;
-            rank_input_mut(&mut self.stores, rank)?.append(*seq, k, v, &[pos])?;
+            rank_input_mut(&mut self.caches, rank)?.append(*seq, k, v, &[pos])?;
             rank_input_mut(&mut slots, rank)?.push(Some(DecodeSlot {
                 bid: b,
                 q: q.clone(),
@@ -685,11 +689,11 @@ impl ContextParallelEngine {
         // in place (no per-step O(P) gather on the decode hot path).
         let seqs: Vec<SeqId> = batch.iter().map(|(seq, ..)| *seq).collect();
         let params = self.params;
-        let stores = &self.stores;
+        let caches = &self.caches;
         let (rank_outputs, traffic) = run_ring(n, |comm| {
             let my_slots = rank_input(&slots, comm.rank())?;
-            let store = rank_input(stores, comm.rank())?;
-            attend_decode(comm, &params, strategy, &spec, store, my_slots, &seqs)
+            let cache = rank_input(caches, comm.rank())?;
+            attend_decode(comm, &params, strategy, &spec, cache, my_slots, &seqs)
         })?;
 
         // Map per-rank slot outputs back to batch order.
@@ -1186,8 +1190,8 @@ mod tests {
     fn int8_total_workload_stays_close_and_survives_rollback() {
         // Full multi-turn workload (full + partial prefill, decode,
         // rollback, decode) at Int8Total vs exact f32: every output
-        // within quantization tolerance, and the INT8 pool tracks the
-        // f32 master through truncations.
+        // within quantization tolerance, and the INT8 plane tracks the
+        // f32 values through truncations.
         let n = 3;
         let run = |precision| {
             let mut eng = ContextParallelEngine::new(

@@ -20,9 +20,10 @@
 //!   Appendix D empirical model for choosing pass-KV vs pass-Q at runtime,
 //! * [`baseline`] — the single-device reference and the all-gather pass-KV
 //!   baseline (Llama3-training style) the paper compares against,
-//! * [`KvStore`] with [`attend_prefill`] / [`attend_decode`] — one rank's
-//!   resident KV for one layer and the rank-local steps that attend it,
-//!   shared by every engine,
+//! * [`attend_prefill`] / [`attend_decode`] — the rank-local steps that
+//!   attend one rank's resident KV for one layer (a
+//!   [`cp_kvcache::PagedKvCache`], its INT8 plane on at
+//!   [`KvPrecision::Int8Total`]), shared by every engine,
 //! * [`ContextParallelEngine`] — a multi-turn inference engine with
 //!   distributed, persistent, load-balanced KV caches,
 //! * [`ChatSession`] / [`ToyProjector`] — a deterministic toy model layer
@@ -84,4 +85,4 @@ pub use messages::{
 pub use projector::ToyProjector;
 pub use session::{ChatSession, TurnStats};
 pub use spec::{RingSpec, RingWire, SchedulePolicy};
-pub use store::{attend_decode, attend_prefill, KvStore};
+pub use store::{attend_decode, attend_prefill};

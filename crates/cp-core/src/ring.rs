@@ -27,7 +27,7 @@ use cp_attention::{
     blocked_gqa_attention_on, blocked_gqa_attention_source, AttentionOutput, AttentionParams,
 };
 use cp_comm::{Communicator, PendingRecv};
-use cp_kvcache::{KvView, QuantKvView};
+use cp_kvcache::KvView;
 use cp_pool::ComputePool;
 use cp_tensor::Tensor;
 
@@ -67,7 +67,7 @@ pub fn attn_block_for(page_size: usize) -> usize {
 #[derive(Debug, Clone)]
 pub enum RankKv<'a> {
     /// Contiguous owned K/V tensors, attended with an explicit KV block.
-    /// Pass [`attn_block_for`] of a paged twin's page size to stay
+    /// Pass [`attn_block_for`] of the source cache's page size to stay
     /// bit-identical to the corresponding view path.
     Owned {
         /// K/V tensors plus their global positions.
@@ -75,13 +75,10 @@ pub enum RankKv<'a> {
         /// Online-softmax KV block size for the blocked kernel.
         block: usize,
     },
-    /// A borrowed paged-cache view, attended with [`attn_block_for`] of its
-    /// page size.
+    /// A borrowed paged-cache view — f32 pages, or the INT8 plane the
+    /// kernel dequantizes head by head — attended with [`attn_block_for`]
+    /// of its page size.
     View(KvView<'a>),
-    /// A borrowed INT8-quantized paged-cache view: each head vector is
-    /// dequantized inside the kernel into a reused scratch — no f32 copy
-    /// of the cache is ever materialized.
-    QuantView(QuantKvView<'a>),
 }
 
 impl From<SeqKv> for RankKv<'static> {
@@ -101,19 +98,20 @@ fn attend_rank_kv(
     kv: &RankKv<'_>,
     params: &AttentionParams,
 ) -> Result<AttentionOutput, CoreError> {
-    let (source, pos, page_size) = match kv {
+    Ok(match kv {
         RankKv::Owned { kv, block } => {
-            return Ok(blocked_gqa_attention_on(
-                pool, q, &kv.k, &kv.v, params, q_pos, &kv.pos, *block,
-            )?)
+            blocked_gqa_attention_on(pool, q, &kv.k, &kv.v, params, q_pos, &kv.pos, *block)?
         }
-        RankKv::View(view) => (view.source(), view.positions(), view.page_size()),
-        RankKv::QuantView(view) => (view.source(), view.positions(), view.page_size()),
-    };
-    let block = attn_block_for(page_size);
-    Ok(blocked_gqa_attention_source(
-        pool, q, &source, params, q_pos, pos, block,
-    )?)
+        RankKv::View(view) => blocked_gqa_attention_source(
+            pool,
+            q,
+            &view.source(),
+            params,
+            q_pos,
+            view.positions(),
+            attn_block_for(view.page_size()),
+        )?,
+    })
 }
 
 /// Folds one more partial into a running accumulator with the exact
@@ -1177,13 +1175,13 @@ pub fn helix_decode(
 /// [`ring_pass_q_decode`], so outputs stay bit-identical to pass-Q.
 ///
 /// `wire_kv[b]` is this rank's owned shard of batch sequence `b` (the
-/// gathered twin of `batch_kv[b]`), and `attn_block` the kernel block the
-/// paged path would use ([`attn_block_for`] of the cache's page size) so
-/// owned re-attention of a peer's shard matches that peer's view path
-/// bit-for-bit. At `world == 1` no collective is issued at all — decode
-/// degenerates to pure local attention over `batch_kv`, which is why the
-/// strategy wins single-rank regimes where pass-Q and Helix still launch
-/// their merge collectives.
+/// gathered copy of the rows `batch_kv[b]` attends), and `attn_block` the
+/// kernel block the paged path would use ([`attn_block_for`] of the
+/// cache's page size) so owned re-attention of a peer's shard matches that
+/// peer's view path bit-for-bit. At `world == 1` no collective is issued
+/// at all — decode degenerates to pure local attention over `batch_kv`,
+/// which is why the strategy wins single-rank regimes where pass-Q and
+/// Helix still launch their merge collectives.
 ///
 /// The `O(T)` KV movement per step is the strategy's cost; the cp-perf
 /// `DecodeStrategy` model prices it against pass-Q/Helix.

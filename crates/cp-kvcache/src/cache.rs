@@ -5,7 +5,8 @@ use std::collections::HashMap;
 use cp_attention::PageLayout;
 use cp_tensor::Tensor;
 
-use crate::CacheError;
+use crate::quant::quantize_row;
+use crate::{CacheError, QuantizedKv};
 
 /// Identifier of a cached sequence (stable across turns of a conversation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -69,20 +70,81 @@ impl KvCacheConfig {
 }
 
 /// One fixed-size page: K and V in [`PageLayout`]'s format, plus the
-/// position of each of its `page_size` token slots.
+/// position of each of its `page_size` token slots and, while the cache's
+/// INT8 plane is on, the same slots quantized.
 #[derive(Debug, Clone)]
 pub(crate) struct Page {
     pub(crate) k: Vec<f32>,
     pub(crate) v: Vec<f32>,
     pub(crate) pos: Vec<usize>,
+    pub(crate) int8: Option<Int8Plane>,
 }
 
 impl Page {
-    fn new(layout: &PageLayout) -> Self {
+    fn new(layout: &PageLayout, int8: bool) -> Self {
         Page {
             k: vec![0.0; layout.page_len()],
             v: vec![0.0; layout.page_len()],
             pos: vec![0; layout.page_size()],
+            int8: int8.then(|| Int8Plane::new(layout)),
+        }
+    }
+}
+
+/// A page's INT8 plane: K/V codes and per-(token, head) scales in
+/// [`PageLayout`]'s format, slot for slot beside the f32 values.
+#[derive(Debug, Clone)]
+pub(crate) struct Int8Plane {
+    pub(crate) k_codes: Vec<i8>,
+    pub(crate) k_scales: Vec<f32>,
+    pub(crate) v_codes: Vec<i8>,
+    pub(crate) v_scales: Vec<f32>,
+}
+
+impl Int8Plane {
+    fn new(layout: &PageLayout) -> Self {
+        Int8Plane {
+            k_codes: vec![0; layout.page_len()],
+            k_scales: vec![0.0; layout.scales_len()],
+            v_codes: vec![0; layout.page_len()],
+            v_scales: vec![0.0; layout.scales_len()],
+        }
+    }
+
+    /// Quantizes one token's K and V rows into `slot` through the one-row
+    /// `scratch`. Codes and scales are both overwritten, so a reused page
+    /// keeps nothing of its previous tenant.
+    fn write(
+        &mut self,
+        layout: &PageLayout,
+        slot: usize,
+        k_row: &[f32],
+        v_row: &[f32],
+        scratch: &mut Int8Scratch,
+    ) {
+        let Int8Scratch { codes, scales } = scratch;
+        quantize_row(k_row, layout.head_dim(), codes, scales);
+        layout.write_k(&mut self.k_codes, slot, codes);
+        layout.write_scales(&mut self.k_scales, slot, scales);
+        quantize_row(v_row, layout.head_dim(), codes, scales);
+        layout.write_v(&mut self.v_codes, slot, codes);
+        layout.write_scales(&mut self.v_scales, slot, scales);
+    }
+}
+
+/// One token row's codes and scales, reused by every quantizing write;
+/// the cache holds one exactly while its INT8 plane is on.
+#[derive(Debug)]
+struct Int8Scratch {
+    codes: Vec<i8>,
+    scales: Vec<f32>,
+}
+
+impl Int8Scratch {
+    fn new(layout: &PageLayout) -> Self {
+        Int8Scratch {
+            codes: vec![0; layout.row_len()],
+            scales: vec![0.0; layout.n_kv_heads()],
         }
     }
 }
@@ -123,6 +185,12 @@ impl CacheStats {
 /// non-contiguous slices of each sequence) and gathered back as contiguous
 /// tensors plus the position array — exactly the inputs the position-masked
 /// attention kernels in `cp-attention` take.
+///
+/// With its INT8 plane on ([`PagedKvCache::set_int8`]) every page also
+/// holds its tokens quantized per (token, head), written by the same
+/// append; [`PagedKvCache::view`] then serves the INT8 pages. The f32
+/// values stay the exact record that `gather` reads. One page table, one
+/// pool and one free list serve both planes.
 #[derive(Debug)]
 pub struct PagedKvCache {
     config: KvCacheConfig,
@@ -130,6 +198,8 @@ pub struct PagedKvCache {
     pool: Vec<Page>,
     free: Vec<usize>,
     seqs: HashMap<u64, SeqState>,
+    /// `Some` exactly while the INT8 plane is on.
+    int8: Option<Int8Scratch>,
 }
 
 impl PagedKvCache {
@@ -145,6 +215,7 @@ impl PagedKvCache {
             pool: Vec::new(),
             free: Vec::new(),
             seqs: HashMap::new(),
+            int8: None,
         }
     }
 
@@ -211,8 +282,8 @@ impl PagedKvCache {
         Ok((state, &self.layout))
     }
 
-    pub(crate) fn page(&self, idx: usize) -> Option<&Page> {
-        self.pool.get(idx)
+    pub(crate) fn page(&self, idx: usize) -> &Page {
+        &self.pool[idx]
     }
 
     fn allocate_page(&mut self) -> Result<usize, CacheError> {
@@ -227,7 +298,7 @@ impl PagedKvCache {
                 });
             }
         }
-        self.pool.push(Page::new(&self.layout));
+        self.pool.push(Page::new(&self.layout, self.int8.is_some()));
         Ok(self.pool.len() - 1)
     }
 
@@ -269,7 +340,8 @@ impl PagedKvCache {
     /// Appends selected rows of K/V (shape `[t, n_kv_heads, head_dim]`,
     /// `rows[i] < t`) with their global positions, writing each row
     /// straight into its page slot in [`PageLayout`]'s format — the one
-    /// transpose of a token's keys the kernels' panels need.
+    /// transpose of a token's keys the kernels' panels need — and, while
+    /// the INT8 plane is on, its quantization into the same slot.
     ///
     /// This is the CP sharding hot path: a rank appends the non-contiguous
     /// subset of the projected K/V it owns without a `gather_dim0` staging
@@ -322,9 +394,50 @@ impl PagedKvCache {
             layout.write_k(&mut page.k, slot, k.row(row));
             layout.write_v(&mut page.v, slot, v.row(row));
             page.pos[slot] = p;
+            if let (Some(plane), Some(scratch)) = (&mut page.int8, &mut self.int8) {
+                plane.write(&layout, slot, k.row(row), v.row(row), scratch);
+            }
         }
         state.len += rows.len();
         Ok(())
+    }
+
+    /// Returns `true` while the INT8 plane is on.
+    pub fn int8(&self) -> bool {
+        self.int8.is_some()
+    }
+
+    /// Turns the INT8 plane on or off. Turning it on quantizes every live
+    /// token from its f32 row; scales are per (token, head), so the plane
+    /// is bitwise the one quantize-on-append would have written. Turning
+    /// it off drops every page's plane. Pages and sequences are untouched
+    /// either way, so the switch cannot fail.
+    pub fn set_int8(&mut self, on: bool) {
+        if on == self.int8.is_some() {
+            return;
+        }
+        let layout = self.layout;
+        for page in &mut self.pool {
+            page.int8 = on.then(|| Int8Plane::new(&layout));
+        }
+        if !on {
+            self.int8 = None;
+            return;
+        }
+        let mut scratch = Int8Scratch::new(&layout);
+        let (mut k_row, mut v_row) = (vec![0.0; layout.row_len()], vec![0.0; layout.row_len()]);
+        for state in self.seqs.values() {
+            for i in 0..state.len {
+                let (page_idx, slot) = layout.locate(i);
+                let Page { k, v, int8, .. } = &mut self.pool[state.pages[page_idx]];
+                layout.read_k(k, slot, &mut k_row);
+                layout.read_v(v, slot, &mut v_row);
+                if let Some(plane) = int8 {
+                    plane.write(&layout, slot, &k_row, &v_row, &mut scratch);
+                }
+            }
+        }
+        self.int8 = Some(scratch);
     }
 
     /// Reserves enough pages for `t` more tokens, transactionally: a
@@ -393,6 +506,59 @@ impl PagedKvCache {
             Tensor::from_vec(vd, &shape)?,
             pos,
         ))
+    }
+
+    /// Gathers a sequence's INT8 plane — quantized K, V and positions in
+    /// append order, bitwise equal to a contiguous [`QuantizedKv`] grown by
+    /// [`QuantizedKv::extend`] over the same appends — or `None` while the
+    /// plane is off.
+    ///
+    /// The kernels attend the plane in place through
+    /// [`PagedKvCache::view`]; this copy is for a rank that must put its
+    /// INT8 shard on the wire, and for tests.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacheError::UnknownSequence`] if absent.
+    pub fn gather_int8(
+        &self,
+        seq: SeqId,
+    ) -> Result<Option<(QuantizedKv, QuantizedKv, Vec<usize>)>, CacheError> {
+        let state = self
+            .seqs
+            .get(&seq.0)
+            .ok_or(CacheError::UnknownSequence { seq: seq.0 })?;
+        if self.int8.is_none() {
+            return Ok(None);
+        }
+        let layout = &self.layout;
+        let (n, tok, hs) = (state.len, layout.row_len(), layout.n_kv_heads());
+        let (mut k_codes, mut v_codes) = (vec![0i8; n * tok], vec![0i8; n * tok]);
+        let (mut k_scales, mut v_scales) = (vec![0.0f32; n * hs], vec![0.0f32; n * hs]);
+        let mut pos = Vec::with_capacity(n);
+        let k_rows = k_codes
+            .chunks_exact_mut(tok)
+            .zip(k_scales.chunks_exact_mut(hs));
+        let v_rows = v_codes
+            .chunks_exact_mut(tok)
+            .zip(v_scales.chunks_exact_mut(hs));
+        for (i, ((kc, ks), (vc, vs))) in k_rows.zip(v_rows).enumerate() {
+            let (page_idx, slot) = layout.locate(i);
+            let page = &self.pool[state.pages[page_idx]];
+            if let Some(plane) = &page.int8 {
+                layout.read_k(&plane.k_codes, slot, kc);
+                layout.read_scales(&plane.k_scales, slot, ks);
+                layout.read_v(&plane.v_codes, slot, vc);
+                layout.read_scales(&plane.v_scales, slot, vs);
+            }
+            pos.push(page.pos[slot]);
+        }
+        let dh = layout.head_dim();
+        Ok(Some((
+            QuantizedKv::from_parts(k_codes, k_scales, n, hs, dh)?,
+            QuantizedKv::from_parts(v_codes, v_scales, n, hs, dh)?,
+            pos,
+        )))
     }
 
     /// Positions of a sequence's cached tokens, in append order.
@@ -548,20 +714,31 @@ mod tests {
 
     #[test]
     fn capacity_limit_enforced_transactionally() {
-        let mut cache = PagedKvCache::new(cfg().with_max_pages(2)); // 8 tokens
-        let seq = SeqId(3);
-        cache.create_sequence(seq).unwrap();
-        let mut rng = DetRng::new(3);
-        let (k, v) = kv(&mut rng, 8);
-        let pos: Vec<usize> = (0..8).collect();
-        cache.append(seq, &k, &v, &pos).unwrap();
-        let (k2, v2) = kv(&mut rng, 1);
-        let err = cache.append(seq, &k2, &v2, &[8]).unwrap_err();
-        assert!(matches!(err, CacheError::OutOfPages { .. }));
-        // Sequence unchanged after the failed append.
-        assert_eq!(cache.seq_len(seq).unwrap(), 8);
-        let (gk, ..) = cache.gather(seq).unwrap();
-        assert_eq!(gk, k);
+        for int8 in [false, true] {
+            let mut cache = PagedKvCache::new(cfg().with_max_pages(2)); // 8 tokens
+            cache.set_int8(int8);
+            let seq = SeqId(3);
+            cache.create_sequence(seq).unwrap();
+            let mut rng = DetRng::new(3);
+            let (k, v) = kv(&mut rng, 8);
+            let pos: Vec<usize> = (0..8).collect();
+            cache.append(seq, &k, &v, &pos).unwrap();
+            let plane = cache.gather_int8(seq).unwrap();
+            let (k2, v2) = kv(&mut rng, 1);
+            let err = cache.append(seq, &k2, &v2, &[8]).unwrap_err();
+            assert!(matches!(err, CacheError::OutOfPages { .. }));
+            // Sequence unchanged after the failed append: f32 rows and
+            // INT8 rows alike.
+            assert_eq!(cache.seq_len(seq).unwrap(), 8);
+            let (gk, gv, _) = cache.gather(seq).unwrap();
+            assert_eq!((gk, gv), (k.clone(), v.clone()), "int8={int8}");
+            assert_eq!(cache.gather_int8(seq).unwrap(), plane, "int8={int8}");
+            if int8 {
+                let (qk, qv, _) = plane.unwrap();
+                assert_eq!(qk, QuantizedKv::quantize(&k).unwrap());
+                assert_eq!(qv, QuantizedKv::quantize(&v).unwrap());
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //! * [`KvView`] — a zero-copy borrowed view of a sequence's pages that
 //!   attention kernels consume directly (via `cp_attention::KvSource`),
 //!   keeping [`PagedKvCache::gather`] off the decode hot path.
+//! * An optional INT8 plane of every page ([`PagedKvCache::set_int8`]):
+//!   the same slots quantized per (token, head), written by the same
+//!   append and served by the same view. The f32 values stay beside it as
+//!   the exact record, so one page table, pool and free list serve both;
+//!   [`QuantizedKv`] is the contiguous form the ring wire carries.
 //! * Pages are stored in the layout the attention kernel consumes,
 //!   `cp_attention::PageLayout`: K `[kv_head][d][slot]` (k-major, the
 //!   kernel's panel order), V `[kv_head][slot][d]`, INT8 scales
@@ -58,5 +63,5 @@ mod view;
 
 pub use cache::{CacheStats, KvCacheConfig, PagedKvCache, SeqId};
 pub use error::CacheError;
-pub use quant::{QuantKvCache, QuantKvView, QuantizedKv};
+pub use quant::QuantizedKv;
 pub use view::KvView;

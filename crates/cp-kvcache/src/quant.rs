@@ -1,30 +1,30 @@
-//! INT8-quantized KV storage (§2.2's memory-bending techniques).
+//! INT8 KV quantization (§2.2's memory-bending techniques).
 //!
 //! The paper notes KV-cache quantization (2–4× memory reduction) as the
 //! orthogonal lever to CP's KV *distribution*; both extend the servable
 //! context. This module provides a per-token, per-head symmetric INT8
 //! scheme: each `(token, head)` vector stores one `f32` scale plus
 //! `head_dim` bytes — a 3.7–3.9× size reduction against f32 at typical
-//! head dims — with the round-trip error bounded by `scale / 127 / 2`
-//! per element.
+//! head dims — with the round-trip error bounded by `scale / 2` per
+//! element. [`QuantizedKv`] is the contiguous block the ring wire
+//! carries; the paged cache's INT8 plane
+//! ([`crate::PagedKvCache::set_int8`]) stores the same codes and scales
+//! page by page.
 
-use std::collections::HashMap;
-
-use cp_attention::{KvSource, PageLayout};
 use cp_tensor::Tensor;
 
-use crate::{CacheError, CacheStats, KvCacheConfig, SeqId};
+use crate::CacheError;
 
 /// Quantizes one `(token, head)` vector symmetrically into `codes_out`,
 /// returning the scale: `scale = max|x| / 127` (1.0 for an all-zero head),
 /// `code = round(x / scale)` clamped to `±127`.
 ///
 /// This is the **only** quantization arithmetic in the crate: both the
-/// staging [`QuantizedKv::quantize`] path and the in-place
-/// [`QuantKvCache::append`] page writes go through it, so the two are
-/// bitwise interchangeable by construction.
+/// staging [`QuantizedKv::quantize`] path and the INT8 plane's page
+/// writes go through it, so the two are bitwise interchangeable by
+/// construction.
 #[inline]
-pub(crate) fn quantize_head_into(head: &[f32], codes_out: &mut [i8]) -> f32 {
+fn quantize_head_into(head: &[f32], codes_out: &mut [i8]) -> f32 {
     let max = head.iter().fold(0.0f32, |a, &v| a.max(v.abs()));
     let scale = if max == 0.0 { 1.0 } else { max / 127.0 };
     for (c, &v) in codes_out.iter_mut().zip(head) {
@@ -34,7 +34,7 @@ pub(crate) fn quantize_head_into(head: &[f32], codes_out: &mut [i8]) -> f32 {
 }
 
 /// Quantizes one token row, head by head, into `codes` and `scales`.
-fn quantize_row(row: &[f32], head_dim: usize, codes: &mut [i8], scales: &mut [f32]) {
+pub(crate) fn quantize_row(row: &[f32], head_dim: usize, codes: &mut [i8], scales: &mut [f32]) {
     let heads = row
         .chunks_exact(head_dim)
         .zip(codes.chunks_exact_mut(head_dim));
@@ -272,510 +272,23 @@ impl QuantizedKv {
     }
 }
 
-/// One fixed-size quantized page: INT8 codes and per-(token, head) scales
-/// in [`PageLayout`]'s format, plus the position of each token slot.
-#[derive(Debug, Clone)]
-struct QuantPage {
-    k_codes: Vec<i8>,
-    k_scales: Vec<f32>,
-    v_codes: Vec<i8>,
-    v_scales: Vec<f32>,
-    pos: Vec<usize>,
-}
-
-impl QuantPage {
-    fn new(layout: &PageLayout) -> Self {
-        QuantPage {
-            k_codes: vec![0; layout.page_len()],
-            k_scales: vec![0.0; layout.scales_len()],
-            v_codes: vec![0; layout.page_len()],
-            v_scales: vec![0.0; layout.scales_len()],
-            pos: vec![0; layout.page_size()],
-        }
-    }
-}
-
-#[derive(Debug, Clone, Default)]
-struct QuantSeqState {
-    pages: Vec<usize>,
-    len: usize,
-}
-
-/// A paged, multi-sequence INT8-quantized KV cache.
-///
-/// The quantized analogue of [`crate::PagedKvCache`]: per-sequence page
-/// tables over a shared pool with a free list, transactional appends
-/// (an [`CacheError::OutOfPages`] failure leaves the sequence unchanged)
-/// and page reuse after [`QuantKvCache::free_sequence`] /
-/// [`QuantKvCache::truncate`] — the eviction churn a continuous-batching
-/// scheduler generates. Because the quantization scheme is strictly
-/// per-(token, head), paged storage is **bitwise** equal to a contiguous
-/// [`QuantizedKv`] grown with [`QuantizedKv::extend`]: a freed-then-reused
-/// page can never bleed one sequence's scales into another's codes.
-#[derive(Debug)]
-pub struct QuantKvCache {
-    config: KvCacheConfig,
-    layout: PageLayout,
-    pool: Vec<QuantPage>,
-    free: Vec<usize>,
-    seqs: HashMap<u64, QuantSeqState>,
-}
-
-impl QuantKvCache {
-    /// Creates an empty cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a dimension of `config` is zero.
-    pub fn new(config: KvCacheConfig) -> Self {
-        QuantKvCache {
-            config,
-            layout: config.layout(),
-            pool: Vec::new(),
-            free: Vec::new(),
-            seqs: HashMap::new(),
-        }
-    }
-
-    /// The cache's configuration.
-    pub fn config(&self) -> &KvCacheConfig {
-        &self.config
-    }
-
-    /// Registers a new, empty sequence.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError::DuplicateSequence`] if the id is live.
-    pub fn create_sequence(&mut self, seq: SeqId) -> Result<(), CacheError> {
-        if self.seqs.contains_key(&seq.0) {
-            return Err(CacheError::DuplicateSequence { seq: seq.0 });
-        }
-        self.seqs.insert(seq.0, QuantSeqState::default());
-        Ok(())
-    }
-
-    /// Returns `true` if the sequence exists.
-    pub fn contains(&self, seq: SeqId) -> bool {
-        self.seqs.contains_key(&seq.0)
-    }
-
-    /// Cached token count for a sequence.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError::UnknownSequence`] if absent.
-    pub fn seq_len(&self, seq: SeqId) -> Result<usize, CacheError> {
-        self.seqs
-            .get(&seq.0)
-            .map(|s| s.len)
-            .ok_or(CacheError::UnknownSequence { seq: seq.0 })
-    }
-
-    /// Pages currently held by a sequence — the per-session occupancy an
-    /// eviction policy weighs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError::UnknownSequence`] if absent.
-    pub fn seq_pages(&self, seq: SeqId) -> Result<usize, CacheError> {
-        self.seqs
-            .get(&seq.0)
-            .map(|s| s.pages.len())
-            .ok_or(CacheError::UnknownSequence { seq: seq.0 })
-    }
-
-    /// Ids of all live sequences, sorted.
-    pub fn sequence_ids(&self) -> Vec<SeqId> {
-        let mut ids: Vec<SeqId> = self.seqs.keys().map(|&k| SeqId(k)).collect();
-        ids.sort();
-        ids
-    }
-
-    fn allocate_page(&mut self) -> Result<usize, CacheError> {
-        if let Some(idx) = self.free.pop() {
-            return Ok(idx);
-        }
-        if let Some(max) = self.config.max_pages {
-            if self.pool.len() >= max {
-                return Err(CacheError::OutOfPages {
-                    needed: 1,
-                    available: 0,
-                });
-            }
-        }
-        self.pool.push(QuantPage::new(&self.layout));
-        Ok(self.pool.len() - 1)
-    }
-
-    fn check_kv_shape(&self, t: &Tensor, input: &'static str) -> Result<usize, CacheError> {
-        let s = t.shape();
-        if s.len() != 3 || s[1] != self.config.n_kv_heads || s[2] != self.config.head_dim {
-            return Err(CacheError::BadShape {
-                input,
-                expected: vec![self.config.n_kv_heads, self.config.head_dim],
-                actual: s.to_vec(),
-            });
-        }
-        Ok(s[0])
-    }
-
-    /// Quantizes and appends `t` tokens of K/V (shape
-    /// `[t, n_kv_heads, head_dim]`) with their global positions.
-    ///
-    /// Each token's `(token, head)` vectors are quantized into a one-row
-    /// scratch (`quantize_head_into`, the same arithmetic as
-    /// [`QuantizedKv::quantize`]) and written into the token's reserved
-    /// page slot in [`PageLayout`]'s format — no contiguous
-    /// [`QuantizedKv`] staging buffer of the whole append is built.
-    ///
-    /// Appending is transactional with respect to capacity: needed pages
-    /// are reserved up front, so an [`CacheError::OutOfPages`] failure
-    /// leaves the sequence unchanged.
-    ///
-    /// # Errors
-    ///
-    /// [`CacheError::UnknownSequence`], [`CacheError::BadShape`],
-    /// [`CacheError::PositionCountMismatch`] or [`CacheError::OutOfPages`].
-    pub fn append(
-        &mut self,
-        seq: SeqId,
-        k: &Tensor,
-        v: &Tensor,
-        positions: &[usize],
-    ) -> Result<(), CacheError> {
-        let t = self.check_kv_shape(k, "k")?;
-        let rows: Vec<usize> = (0..t).collect();
-        self.append_rows(seq, k, v, &rows, positions)
-    }
-
-    /// Appends selected rows of K/V (shape `[t, n_kv_heads, head_dim]`,
-    /// `rows[i] < t`) with their global positions, quantizing each row
-    /// into its page slot.
-    ///
-    /// This is the CP sharding hot path: a rank appends the non-contiguous
-    /// subset of the projected K/V it owns without a `gather_dim0` staging
-    /// tensor or an intermediate [`QuantizedKv`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QuantKvCache::append`]; additionally
-    /// [`CacheError::BadShape`] if a row index is out of range.
-    pub fn append_rows(
-        &mut self,
-        seq: SeqId,
-        k: &Tensor,
-        v: &Tensor,
-        rows: &[usize],
-        positions: &[usize],
-    ) -> Result<(), CacheError> {
-        let t_k = self.check_kv_shape(k, "k")?;
-        let t_v = self.check_kv_shape(v, "v")?;
-        if t_v != t_k {
-            return Err(CacheError::BadShape {
-                input: "v",
-                expected: vec![self.config.n_kv_heads, self.config.head_dim],
-                actual: v.shape().to_vec(),
-            });
-        }
-        if let Some(&bad) = rows.iter().find(|&&r| r >= t_k) {
-            return Err(CacheError::BadShape {
-                input: "rows",
-                expected: vec![t_k],
-                actual: vec![bad],
-            });
-        }
-        let t = rows.len();
-        if positions.len() != t {
-            return Err(CacheError::PositionCountMismatch {
-                tokens: t,
-                positions: positions.len(),
-            });
-        }
-        if !self.seqs.contains_key(&seq.0) {
-            return Err(CacheError::UnknownSequence { seq: seq.0 });
-        }
-        self.reserve_pages(seq, t)?;
-        let state = self.seqs.get_mut(&seq.0).expect("checked above");
-
-        // Quantize each (token, head) vector, then write the token's codes
-        // and scales into its page slot. Every slot a token lands in is
-        // fully overwritten — codes, scales AND position — so stale data
-        // from a previous tenant of a reused page can never survive into a
-        // gather.
-        let layout = self.layout;
-        let dh = layout.head_dim();
-        let mut codes = vec![0i8; layout.row_len()];
-        let mut scales = vec![0.0f32; layout.n_kv_heads()];
-        for (i, (&row, &p)) in rows.iter().zip(positions).enumerate() {
-            let (page_idx, slot) = layout.locate(state.len + i);
-            let page = &mut self.pool[state.pages[page_idx]];
-            quantize_row(k.row(row), dh, &mut codes, &mut scales);
-            layout.write_k(&mut page.k_codes, slot, &codes);
-            layout.write_scales(&mut page.k_scales, slot, &scales);
-            quantize_row(v.row(row), dh, &mut codes, &mut scales);
-            layout.write_v(&mut page.v_codes, slot, &codes);
-            layout.write_scales(&mut page.v_scales, slot, &scales);
-            page.pos[slot] = p;
-        }
-        state.len += t;
-        Ok(())
-    }
-
-    /// Reserves enough pages for `t` more tokens, transactionally.
-    fn reserve_pages(&mut self, seq: SeqId, t: usize) -> Result<(), CacheError> {
-        let (cur_len, cur_pages) = {
-            let s = &self.seqs[&seq.0];
-            (s.len, s.pages.len())
-        };
-        let needed_total_pages = self.layout.pages_for(cur_len + t);
-        let new_pages_needed = needed_total_pages.saturating_sub(cur_pages);
-        if let Some(max) = self.config.max_pages {
-            let headroom = self.free.len() + max.saturating_sub(self.pool.len());
-            if new_pages_needed > headroom {
-                return Err(CacheError::OutOfPages {
-                    needed: new_pages_needed,
-                    available: headroom,
-                });
-            }
-        }
-        let mut reserved = Vec::with_capacity(new_pages_needed);
-        for _ in 0..new_pages_needed {
-            let idx = self.allocate_page().expect("capacity checked above");
-            reserved.push(idx);
-        }
-        self.seqs
-            .get_mut(&seq.0)
-            .expect("checked by caller")
-            .pages
-            .extend(reserved);
-        Ok(())
-    }
-
-    /// Gathers a sequence's quantized K, V and positions in append order,
-    /// bitwise equal to a contiguous [`QuantizedKv`] grown by
-    /// [`QuantizedKv::extend`] over the same appends.
-    ///
-    /// This copies codes and scales out of the pages. The attention hot
-    /// path does **not** need it — kernels attend the pages in place via
-    /// [`QuantKvCache::view`] — but the ring pass-KV wire path does: a
-    /// rank's whole quantized shard is serialized onto the ring exactly
-    /// once per forward, and that payload must be contiguous.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError::UnknownSequence`] if absent.
-    pub fn gather_quantized(
-        &self,
-        seq: SeqId,
-    ) -> Result<(QuantizedKv, QuantizedKv, Vec<usize>), CacheError> {
-        let state = self
-            .seqs
-            .get(&seq.0)
-            .ok_or(CacheError::UnknownSequence { seq: seq.0 })?;
-        let layout = &self.layout;
-        let (tok, hs) = (layout.row_len(), layout.n_kv_heads());
-        let empty = || QuantizedKv {
-            codes: vec![0; state.len * tok],
-            scales: vec![0.0; state.len * hs],
-            tokens: state.len,
-            n_heads: hs,
-            head_dim: layout.head_dim(),
-        };
-        let (mut qk, mut qv) = (empty(), empty());
-        let mut pos = Vec::with_capacity(state.len);
-        let k_rows = qk
-            .codes
-            .chunks_exact_mut(tok)
-            .zip(qk.scales.chunks_exact_mut(hs));
-        let v_rows = qv
-            .codes
-            .chunks_exact_mut(tok)
-            .zip(qv.scales.chunks_exact_mut(hs));
-        for (i, ((k_codes, k_scales), (v_codes, v_scales))) in k_rows.zip(v_rows).enumerate() {
-            let (page_idx, slot) = layout.locate(i);
-            let page = &self.pool[state.pages[page_idx]];
-            layout.read_k(&page.k_codes, slot, k_codes);
-            layout.read_scales(&page.k_scales, slot, k_scales);
-            layout.read_v(&page.v_codes, slot, v_codes);
-            layout.read_scales(&page.v_scales, slot, v_scales);
-            pos.push(page.pos[slot]);
-        }
-        Ok((qk, qv, pos))
-    }
-
-    /// Dequantizes a sequence back to `[len, n_kv_heads, head_dim]` K/V
-    /// tensors plus positions.
-    ///
-    /// The kernels attend quantized pages in place through
-    /// [`QuantKvCache::view`] with per-head dequantization into a reused
-    /// scratch, so no attention path needs this copy. It is what a rank
-    /// puts on the wire when peers must attend its INT8 shard themselves
-    /// (TP-only decode), and what tests pin the in-place path against.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError::UnknownSequence`] if absent.
-    pub fn dequantize(&self, seq: SeqId) -> Result<(Tensor, Tensor, Vec<usize>), CacheError> {
-        let (qk, qv, pos) = self.gather_quantized(seq)?;
-        Ok((qk.dequantize(), qv.dequantize(), pos))
-    }
-
-    /// Borrows a sequence's quantized pages as a zero-copy
-    /// [`QuantKvView`] — the quantized analogue of
-    /// [`crate::PagedKvCache::view`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError::UnknownSequence`] if absent.
-    pub fn view(&self, seq: SeqId) -> Result<QuantKvView<'_>, CacheError> {
-        let state = self
-            .seqs
-            .get(&seq.0)
-            .ok_or(CacheError::UnknownSequence { seq: seq.0 })?;
-        let n_pages = self.layout.pages_for(state.len);
-        let mut view = QuantKvView {
-            k_codes: Vec::with_capacity(n_pages),
-            k_scales: Vec::with_capacity(n_pages),
-            v_codes: Vec::with_capacity(n_pages),
-            v_scales: Vec::with_capacity(n_pages),
-            pos: Vec::with_capacity(n_pages * self.layout.page_size()),
-            layout: self.layout,
-            len: state.len,
-        };
-        for page in state
-            .pages
-            .iter()
-            .take(n_pages)
-            .filter_map(|&idx| self.pool.get(idx))
-        {
-            view.k_codes.push(&page.k_codes);
-            view.k_scales.push(&page.k_scales);
-            view.v_codes.push(&page.v_codes);
-            view.v_scales.push(&page.v_scales);
-            view.pos.extend_from_slice(&page.pos);
-        }
-        // The last page's slots past the sequence's length hold no token.
-        view.pos.truncate(state.len);
-        Ok(view)
-    }
-
-    /// Shrinks a sequence to `new_len` tokens (dropping the most recent
-    /// ones), releasing now-empty pages back to the free list.
-    ///
-    /// # Errors
-    ///
-    /// [`CacheError::UnknownSequence`] or [`CacheError::BadTruncate`] if
-    /// `new_len` exceeds the current length.
-    pub fn truncate(&mut self, seq: SeqId, new_len: usize) -> Result<(), CacheError> {
-        let state = self
-            .seqs
-            .get_mut(&seq.0)
-            .ok_or(CacheError::UnknownSequence { seq: seq.0 })?;
-        if new_len > state.len {
-            return Err(CacheError::BadTruncate {
-                requested: new_len,
-                current: state.len,
-            });
-        }
-        let released = state.pages.split_off(self.layout.pages_for(new_len));
-        state.len = new_len;
-        self.free.extend(released);
-        Ok(())
-    }
-
-    /// Removes a sequence, returning its pages to the free list for reuse.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError::UnknownSequence`] if absent.
-    pub fn free_sequence(&mut self, seq: SeqId) -> Result<(), CacheError> {
-        let state = self
-            .seqs
-            .remove(&seq.0)
-            .ok_or(CacheError::UnknownSequence { seq: seq.0 })?;
-        self.free.extend(state.pages);
-        Ok(())
-    }
-
-    /// Current occupancy statistics.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            allocated_pages: self.pool.len() - self.free.len(),
-            free_pages: self.free.len(),
-            tokens: self.seqs.values().map(|s| s.len).sum(),
-            sequences: self.seqs.len(),
-        }
-    }
-
-    /// Bytes of quantized payload (codes + scales) across all pool pages,
-    /// allocated or free.
-    pub fn storage_bytes(&self) -> usize {
-        let per_page = 2 * self.layout.page_len() + 2 * self.layout.scales_len() * 4;
-        self.pool.len() * per_page
-    }
-}
-
-/// A borrowed, zero-copy view of one sequence's quantized K/V pages: its
-/// full INT8 code and per-(token, head) scale pages, in [`PageLayout`]'s
-/// format, plus the positions of its tokens in append order.
-///
-/// [`QuantKvView::source`] exposes this directly to the attention kernels
-/// as a `KvSource::quant_paged` — each head vector is dequantized inside
-/// the kernel into a reused scratch, so no f32 copy of the cache is ever
-/// materialized.
-#[derive(Debug, Clone)]
-pub struct QuantKvView<'a> {
-    k_codes: Vec<&'a [i8]>,
-    k_scales: Vec<&'a [f32]>,
-    v_codes: Vec<&'a [i8]>,
-    v_scales: Vec<&'a [f32]>,
-    pos: Vec<usize>,
-    layout: PageLayout,
-    len: usize,
-}
-
-impl<'a> QuantKvView<'a> {
-    /// Cached token count.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` if the sequence holds no tokens.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Tokens per page.
-    pub fn page_size(&self) -> usize {
-        self.layout.page_size()
-    }
-
-    /// Global positions of the cached tokens, in append order.
-    pub fn positions(&self) -> &[usize] {
-        &self.pos
-    }
-
-    /// The attention-kernel [`KvSource`] over these quantized pages.
-    pub fn source(&self) -> KvSource<'_> {
-        KvSource::quant_paged(
-            &self.k_codes,
-            &self.k_scales,
-            &self.v_codes,
-            &self.v_scales,
-            self.layout.page_size(),
-            self.layout.n_kv_heads(),
-            self.layout.head_dim(),
-            self.len,
-        )
-        .expect("view geometry is consistent by construction")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{KvCacheConfig, PagedKvCache, SeqId};
     use cp_tensor::DetRng;
+
+    /// An empty cache with its INT8 plane on.
+    fn int8_cache(config: KvCacheConfig) -> PagedKvCache {
+        let mut cache = PagedKvCache::new(config);
+        cache.set_int8(true);
+        cache
+    }
+
+    /// A sequence's INT8 plane: quantized K, V and positions.
+    fn plane(cache: &PagedKvCache, seq: SeqId) -> (QuantizedKv, QuantizedKv, Vec<usize>) {
+        cache.gather_int8(seq).unwrap().expect("INT8 plane is on")
+    }
 
     #[test]
     fn roundtrip_error_within_bound() {
@@ -894,7 +407,7 @@ mod tests {
 
     #[test]
     fn paged_quant_store_matches_contiguous_extend() {
-        let mut cache = QuantKvCache::new(KvCacheConfig::new(3, 2, 4));
+        let mut cache = int8_cache(KvCacheConfig::new(3, 2, 4));
         let seq = SeqId(5);
         cache.create_sequence(seq).unwrap();
         let mut rng = DetRng::new(9);
@@ -920,19 +433,19 @@ mod tests {
                 }
             }
         }
-        let (gk, gv, gpos) = cache.gather_quantized(seq).unwrap();
+        let (gk, gv, gpos) = plane(&cache, seq);
         assert_eq!(gk, shadow_k.unwrap());
         assert_eq!(gv, shadow_v.unwrap());
         assert_eq!(gpos, (0..next).collect::<Vec<_>>());
-        let (dk, _, _) = cache.dequantize(seq).unwrap();
-        assert_eq!(dk, gk.dequantize());
+        // The f32 values stay the exact record beside the plane.
+        assert_eq!(cache.gather(seq).unwrap().2, gpos);
         assert_eq!(cache.seq_len(seq).unwrap(), 14);
         assert_eq!(cache.seq_pages(seq).unwrap(), 14usize.div_ceil(3));
     }
 
     #[test]
     fn freed_pages_are_reused_without_bleed() {
-        let mut cache = QuantKvCache::new(KvCacheConfig::new(2, 1, 4).with_max_pages(3));
+        let mut cache = int8_cache(KvCacheConfig::new(2, 1, 4).with_max_pages(3));
         let mut rng = DetRng::new(10);
         let a = SeqId(1);
         cache.create_sequence(a).unwrap();
@@ -952,7 +465,7 @@ mod tests {
         // must gather exactly its own quantization — no stale A data.
         cache.free_sequence(a).unwrap();
         cache.append(b, &kb, &kb, &[0, 1]).unwrap();
-        let (gk, _, gpos) = cache.gather_quantized(b).unwrap();
+        let (gk, _, gpos) = plane(&cache, b);
         assert_eq!(gk, QuantizedKv::quantize(&kb).unwrap());
         assert_eq!(gpos, vec![0, 1]);
         // The pool never grew past its cap through the churn.
@@ -961,14 +474,14 @@ mod tests {
 
     #[test]
     fn quant_cache_truncate_releases_pages_and_keeps_prefix() {
-        let mut cache = QuantKvCache::new(KvCacheConfig::new(2, 1, 3));
+        let mut cache = int8_cache(KvCacheConfig::new(2, 1, 3));
         let seq = SeqId(0);
         cache.create_sequence(seq).unwrap();
         let x = DetRng::new(11).tensor(&[6, 1, 3]);
         cache.append(seq, &x, &x, &[0, 1, 2, 3, 4, 5]).unwrap();
         cache.truncate(seq, 3).unwrap();
         assert_eq!(cache.stats().free_pages, 1);
-        let (gk, _, gpos) = cache.gather_quantized(seq).unwrap();
+        let (gk, _, gpos) = plane(&cache, seq);
         let mut shadow = QuantizedKv::quantize(&x).unwrap();
         shadow.truncate(3).unwrap();
         assert_eq!(gk, shadow);
@@ -977,7 +490,7 @@ mod tests {
         let y = DetRng::new(12).tensor(&[2, 1, 3]);
         cache.append(seq, &y, &y, &[3, 4]).unwrap();
         shadow.extend(&QuantizedKv::quantize(&y).unwrap()).unwrap();
-        let (gk2, _, _) = cache.gather_quantized(seq).unwrap();
+        let (gk2, _, _) = plane(&cache, seq);
         assert_eq!(gk2, shadow);
     }
 
@@ -1030,12 +543,12 @@ mod tests {
 
     #[test]
     fn view_serves_same_rows_as_gather() {
-        let mut cache = QuantKvCache::new(KvCacheConfig::new(3, 2, 4));
+        let mut cache = int8_cache(KvCacheConfig::new(3, 2, 4));
         let seq = SeqId(1);
         cache.create_sequence(seq).unwrap();
         let x = DetRng::new(16).tensor(&[7, 2, 4]); // ragged: 7 = 2*3 + 1
         cache.append(seq, &x, &x, &[0, 1, 2, 3, 4, 5, 6]).unwrap();
-        let (gk, gv, gpos) = cache.gather_quantized(seq).unwrap();
+        let (gk, gv, gpos) = plane(&cache, seq);
         let view = cache.view(seq).unwrap();
         assert_eq!(view.len(), 7);
         assert!(!view.is_empty());
@@ -1074,22 +587,19 @@ mod tests {
         let rows = [0usize, 3, 4, 8];
         let positions: Vec<usize> = rows.to_vec();
 
-        let mut direct = QuantKvCache::new(KvCacheConfig::new(3, 2, 4));
+        let mut direct = int8_cache(KvCacheConfig::new(3, 2, 4));
         direct.create_sequence(SeqId(0)).unwrap();
         direct
             .append_rows(SeqId(0), &k, &v, &rows, &positions)
             .unwrap();
 
-        let mut staged = QuantKvCache::new(KvCacheConfig::new(3, 2, 4));
+        let mut staged = int8_cache(KvCacheConfig::new(3, 2, 4));
         staged.create_sequence(SeqId(0)).unwrap();
         let sk = k.gather_dim0(&rows).unwrap();
         let sv = v.gather_dim0(&rows).unwrap();
         staged.append(SeqId(0), &sk, &sv, &positions).unwrap();
 
-        assert_eq!(
-            direct.gather_quantized(SeqId(0)).unwrap(),
-            staged.gather_quantized(SeqId(0)).unwrap()
-        );
+        assert_eq!(plane(&direct, SeqId(0)), plane(&staged, SeqId(0)));
 
         // Out-of-range row index is a typed error, not a panic.
         assert!(matches!(
@@ -1100,7 +610,7 @@ mod tests {
 
     #[test]
     fn quant_cache_typed_errors() {
-        let mut cache = QuantKvCache::new(KvCacheConfig::new(2, 2, 3));
+        let mut cache = int8_cache(KvCacheConfig::new(2, 2, 3));
         let seq = SeqId(3);
         assert!(matches!(
             cache.seq_len(seq),

@@ -17,11 +17,26 @@ use crate::{CacheError, SeqId};
 /// (8 bytes/token, negligible next to the K/V payload a gather would copy).
 #[derive(Debug, Clone)]
 pub struct KvView<'a> {
-    k_pages: Vec<&'a [f32]>,
-    v_pages: Vec<&'a [f32]>,
+    pages: ViewPages<'a>,
     pos: Vec<usize>,
     layout: PageLayout,
     len: usize,
+}
+
+/// The page slices a view lends the kernel: the f32 values, or the INT8
+/// plane while it is on.
+#[derive(Debug, Clone)]
+enum ViewPages<'a> {
+    F32 {
+        k: Vec<&'a [f32]>,
+        v: Vec<&'a [f32]>,
+    },
+    Int8 {
+        k_codes: Vec<&'a [i8]>,
+        k_scales: Vec<&'a [f32]>,
+        v_codes: Vec<&'a [i8]>,
+        v_scales: Vec<&'a [f32]>,
+    },
 }
 
 impl<'a> KvView<'a> {
@@ -45,36 +60,35 @@ impl<'a> KvView<'a> {
         &self.pos
     }
 
-    /// Per-page K slices; page `p` holds tokens `[p * page_size, ...)`.
-    pub fn k_pages(&self) -> &[&'a [f32]] {
-        &self.k_pages
-    }
-
-    /// Per-page V slices, aligned with [`KvView::k_pages`].
-    pub fn v_pages(&self) -> &[&'a [f32]] {
-        &self.v_pages
-    }
-
-    /// The attention-kernel [`KvSource`] over these pages.
+    /// The attention-kernel [`KvSource`] over these pages: f32 pages, or
+    /// INT8 pages the kernel dequantizes head by head into a reused
+    /// scratch — no f32 copy of the cache is materialized either way.
     pub fn source(&self) -> KvSource<'_> {
-        KvSource::paged(
-            &self.k_pages,
-            &self.v_pages,
-            self.layout.page_size(),
-            self.layout.n_kv_heads(),
-            self.layout.head_dim(),
-            self.len,
-        )
+        let l = &self.layout;
+        let (ps, nkv, dh) = (l.page_size(), l.n_kv_heads(), l.head_dim());
+        match &self.pages {
+            ViewPages::F32 { k, v } => KvSource::paged(k, v, ps, nkv, dh, self.len),
+            ViewPages::Int8 {
+                k_codes,
+                k_scales,
+                v_codes,
+                v_scales,
+            } => KvSource::quant_paged(k_codes, k_scales, v_codes, v_scales, ps, nkv, dh, self.len),
+        }
         .expect("view geometry is consistent by construction")
     }
 }
 
 impl PagedKvCache {
-    /// Borrows a sequence's cached K/V as a zero-copy [`KvView`].
+    /// Borrows a sequence's cached K/V as a zero-copy [`KvView`]: the f32
+    /// pages, or the INT8 plane while it is on.
     ///
-    /// The view and [`PagedKvCache::gather`] expose the same rows in the
-    /// same order, so attending through [`KvView::source`] is bit-identical
-    /// to attending over gathered tensors — without the O(tokens) copy.
+    /// Over f32 pages the view and [`PagedKvCache::gather`] expose the
+    /// same rows in the same order, so attending through
+    /// [`KvView::source`] is bit-identical to attending over gathered
+    /// tensors — without the O(tokens) copy. Over the INT8 plane it is
+    /// bit-identical to attending the dequantized
+    /// [`PagedKvCache::gather_int8`].
     ///
     /// # Errors
     ///
@@ -82,26 +96,33 @@ impl PagedKvCache {
     pub fn view(&self, seq: SeqId) -> Result<KvView<'_>, CacheError> {
         let (state, layout) = self.seq_state(seq)?;
         let n_pages = layout.pages_for(state.len);
-        let mut view = KvView {
-            k_pages: Vec::with_capacity(n_pages),
-            v_pages: Vec::with_capacity(n_pages),
-            pos: Vec::with_capacity(n_pages * layout.page_size()),
-            layout: *layout,
-            len: state.len,
-        };
-        for page in state
-            .pages
-            .iter()
-            .take(n_pages)
-            .filter_map(|&idx| self.page(idx))
-        {
-            view.k_pages.push(&page.k);
-            view.v_pages.push(&page.v);
-            view.pos.extend_from_slice(&page.pos);
+        let pages = || state.pages.iter().take(n_pages).map(|&idx| self.page(idx));
+        let mut pos = Vec::with_capacity(n_pages * layout.page_size());
+        for page in pages() {
+            pos.extend_from_slice(&page.pos);
         }
         // The last page's slots past the sequence's length hold no token.
-        view.pos.truncate(state.len);
-        Ok(view)
+        pos.truncate(state.len);
+        let pages = if self.int8() {
+            let planes = || pages().filter_map(|page| page.int8.as_ref());
+            ViewPages::Int8 {
+                k_codes: planes().map(|p| p.k_codes.as_slice()).collect(),
+                k_scales: planes().map(|p| p.k_scales.as_slice()).collect(),
+                v_codes: planes().map(|p| p.v_codes.as_slice()).collect(),
+                v_scales: planes().map(|p| p.v_scales.as_slice()).collect(),
+            }
+        } else {
+            ViewPages::F32 {
+                k: pages().map(|p| p.k.as_slice()).collect(),
+                v: pages().map(|p| p.v.as_slice()).collect(),
+            }
+        };
+        Ok(KvView {
+            pages,
+            pos,
+            layout: *layout,
+            len: state.len,
+        })
     }
 }
 
@@ -161,14 +182,14 @@ mod tests {
         let view = cache.view(seq).unwrap();
         // 9 tokens over pages of 4: three pages, each a whole pool page
         // borrowed in place (the last holds one token).
-        assert_eq!(view.k_pages().len(), 3);
-        assert!(view.k_pages().iter().all(|p| p.len() == 4 * 6));
+        let ViewPages::F32 { k: k_pages, .. } = &view.pages else {
+            panic!("f32 cache viewed its INT8 plane");
+        };
+        assert_eq!(k_pages.len(), 3);
+        assert!(k_pages.iter().all(|p| p.len() == 4 * 6));
         let pages = cache.seq_state(seq).unwrap().0.pages.clone();
-        for (borrowed, idx) in view.k_pages().iter().zip(pages) {
-            assert!(std::ptr::eq(
-                *borrowed,
-                cache.page(idx).unwrap().k.as_slice()
-            ));
+        for (borrowed, idx) in k_pages.iter().zip(pages) {
+            assert!(std::ptr::eq(*borrowed, cache.page(idx).k.as_slice()));
         }
         assert_eq!(view.source().page_size(), Some(4));
     }

@@ -4,10 +4,22 @@
 //! bit-identically to a gathered copy.
 
 use cp_attention::{blocked_gqa_attention_source, AttentionParams, GqaShape, KvSource};
-use cp_kvcache::{KvCacheConfig, PagedKvCache, QuantKvCache, QuantizedKv, SeqId};
+use cp_kvcache::{KvCacheConfig, PagedKvCache, QuantizedKv, SeqId};
 use cp_pool::ComputePool;
 use cp_tensor::{DetRng, Tensor};
 use proptest::prelude::*;
+
+/// An empty cache with its INT8 plane on.
+fn int8_cache(config: KvCacheConfig) -> PagedKvCache {
+    let mut cache = PagedKvCache::new(config);
+    cache.set_int8(true);
+    cache
+}
+
+/// A sequence's INT8 plane: quantized K, V and positions.
+fn int8_rows(cache: &PagedKvCache, seq: SeqId) -> (QuantizedKv, QuantizedKv, Vec<usize>) {
+    cache.gather_int8(seq).unwrap().expect("INT8 plane is on")
+}
 
 proptest! {
     /// Appending in arbitrary chunk sizes gathers back the same data as the
@@ -198,22 +210,25 @@ proptest! {
         prop_assert_eq!(dg.lse.as_slice(), dv.lse.as_slice());
     }
 
-    /// The paged quantized store under scheduler-grade churn — interleaved
+    /// The cache's INT8 plane under scheduler-grade churn — interleaved
     /// appends, truncations, frees and re-creations across sequences on a
-    /// bounded pool that forces page reuse — stays BITWISE equal, per
-    /// sequence, to a contiguous [`QuantizedKv`] shadow grown with
-    /// `quantize` + `extend` / `truncate`. This is exactly the
-    /// `extend`-vs-eviction interaction: a freed-then-reused page must
-    /// never bleed a previous tenant's codes, scales or positions.
+    /// bounded pool that forces page reuse, and the plane turned off and
+    /// back on with live sequences — stays BITWISE equal, per sequence, to
+    /// a contiguous [`QuantizedKv`] shadow grown with `quantize` +
+    /// `extend` / `truncate`. This is exactly the `extend`-vs-eviction
+    /// interaction: a freed-then-reused page must never bleed a previous
+    /// tenant's codes, scales or positions. A plane rebuilt from the f32
+    /// rows is bitwise the one quantize-on-append wrote, and the toggle
+    /// leaves the f32 rows untouched.
     #[test]
     fn quant_store_equals_contiguous_shadow_under_churn(
         page_size in 1usize..5,
         max_pages in 4usize..9,
-        ops in prop::collection::vec((0usize..4, 0u64..3, 1usize..6, 0.0f64..1.0), 1..25),
+        ops in prop::collection::vec((0usize..5, 0u64..3, 1usize..6, 0.0f64..1.0), 1..25),
         seed in any::<u64>(),
     ) {
         let config = KvCacheConfig::new(page_size, 2, 3).with_max_pages(max_pages);
-        let mut cache = QuantKvCache::new(config);
+        let mut cache = int8_cache(config);
         let mut rng = DetRng::new(seed);
         // Shadow: per live sequence, the contiguous quantized K/V and
         // position log the paged store must reproduce bit-for-bit.
@@ -259,9 +274,23 @@ proptest! {
                     }
                 }
                 // Evict: free the sequence, returning pages for reuse.
-                _ => {
+                3 => {
                     if shadow.remove(&s).is_some() {
                         cache.free_sequence(seq).unwrap();
+                    }
+                }
+                // Turn the plane off and back on over the live sequences.
+                _ => {
+                    let ids = cache.sequence_ids();
+                    let f32_rows: Vec<_> = ids.iter().map(|&id| cache.gather(id).unwrap()).collect();
+                    cache.set_int8(false);
+                    prop_assert!(!cache.int8());
+                    for &id in &ids {
+                        prop_assert!(cache.gather_int8(id).unwrap().is_none());
+                    }
+                    cache.set_int8(true);
+                    for (&id, rows) in ids.iter().zip(&f32_rows) {
+                        prop_assert_eq!(&cache.gather(id).unwrap(), rows);
                     }
                 }
             }
@@ -271,7 +300,7 @@ proptest! {
             prop_assert!(stats.allocated_pages + stats.free_pages <= max_pages);
             prop_assert_eq!(stats.sequences, shadow.len());
             for (&id, (sk, sv, spos)) in &shadow {
-                let (gk, gv, gpos) = cache.gather_quantized(SeqId(id)).unwrap();
+                let (gk, gv, gpos) = int8_rows(&cache, SeqId(id));
                 prop_assert_eq!(&gk, sk);
                 prop_assert_eq!(&gv, sv);
                 prop_assert_eq!(&gpos, spos);
@@ -297,7 +326,7 @@ proptest! {
     ) {
         let shape = GqaShape::new(4, 2, 4).unwrap();
         let params = AttentionParams::for_shape(shape);
-        let mut cache = QuantKvCache::new(KvCacheConfig::new(page_size, 2, 4));
+        let mut cache = int8_cache(KvCacheConfig::new(page_size, 2, 4));
         let mut rng = DetRng::new(seed);
 
         // Churn: a doomed sequence allocates pages, then frees them, so
@@ -325,7 +354,8 @@ proptest! {
         let fk = Tensor::concat_dim0(f32_k.iter()).unwrap();
         let fv = Tensor::concat_dim0(f32_v.iter()).unwrap();
 
-        let (dqk, dqv, gpos) = cache.dequantize(seq).unwrap();
+        let (qk, qv, gpos) = int8_rows(&cache, seq);
+        let (dqk, dqv) = (qk.dequantize(), qv.dequantize());
         let view = cache.view(seq).unwrap();
         prop_assert_eq!(view.positions(), &gpos[..]);
         let tol = 0.05f32; // generous vs the ~0.02 pinned unit bound
@@ -367,8 +397,8 @@ proptest! {
     /// append_rows / truncate / free churn (freed pages are reused by the
     /// next sequence to grow) and at page sizes around the kernel's 8-wide
     /// panels, every live sequence's `gather` is exactly its appended rows,
-    /// the view's `k_head` / `v_head` read back the same rows, and the INT8
-    /// cache's pages are bitwise its `QuantizedKv::extend` shadow.
+    /// the view's `k_head` / `v_head` read back the same rows, and an INT8
+    /// plane's pages are bitwise its `QuantizedKv::extend` shadow.
     #[test]
     fn kernel_layout_pages_round_trip_under_churn(
         page_size in prop_oneof![Just(1usize), Just(3), Just(7), Just(8), Just(16), Just(17)],
@@ -377,7 +407,7 @@ proptest! {
     ) {
         let (nkv, dh) = (2usize, 3usize);
         let config = KvCacheConfig::new(page_size, nkv, dh);
-        let (mut cache, mut quant) = (PagedKvCache::new(config), QuantKvCache::new(config));
+        let (mut cache, mut quant) = (PagedKvCache::new(config), int8_cache(config));
         let mut rng = DetRng::new(seed);
         // Per live sequence: the appended K and V rows and their INT8 shadow.
         let mut shadow: std::collections::BTreeMap<u64, (Tensor, Tensor, QuantizedKv, QuantizedKv)> =
@@ -441,7 +471,7 @@ proptest! {
                 prop_assert_eq!(&gv, sv);
                 prop_assert_eq!(&gpos, &(0..sk.dim0()).collect::<Vec<_>>());
                 let view = cache.view(seq).unwrap();
-                let (qk, qv, _) = quant.gather_quantized(seq).unwrap();
+                let (qk, qv, _) = int8_rows(&quant, seq);
                 prop_assert_eq!(&qk, sqk);
                 prop_assert_eq!(&qv, sqv);
                 let qview = quant.view(seq).unwrap();

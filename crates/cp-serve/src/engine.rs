@@ -12,10 +12,10 @@ use cp_core::schedule::{
     helix_layer_plan, ring_schedule, tp_only_decode_plan, RingInput, RingLayout,
 };
 use cp_core::{
-    attend_decode, attend_prefill, CoreError, DecodeSlot, KvPrecision, KvStore, LocalSeq, RingMsg,
+    attend_decode, attend_prefill, CoreError, DecodeSlot, KvPrecision, LocalSeq, RingMsg,
     SchedulePolicy, SeqKv, SeqQ,
 };
-use cp_kvcache::{CacheStats, KvCacheConfig, SeqId};
+use cp_kvcache::{CacheStats, KvCacheConfig, PagedKvCache, SeqId};
 use cp_model::rope::apply_rope;
 use cp_model::{rms_norm_on, silu, Block, Linear, Transformer, TransformerConfig};
 use cp_perf::{DecodeStrategy, RingDirection, RingVariant, TopologySpec};
@@ -140,7 +140,7 @@ fn split_tp_shards(model: &Transformer, n: usize) -> Result<Vec<LayerTpShards>, 
 }
 
 /// A full-model context-parallel serving engine: every rank owns one
-/// [`KvStore`] **per transformer layer**; prefill and decode run the
+/// [`PagedKvCache`] **per transformer layer**; prefill and decode run the
 /// whole layer stack distributed, with ring attention per layer.
 ///
 /// The engine serves **multiple sessions** out of the same per-rank
@@ -157,9 +157,9 @@ fn split_tp_shards(model: &Transformer, n: usize) -> Result<Vec<LayerTpShards>, 
 pub struct TransformerEngine {
     model: Transformer,
     n_ranks: usize,
-    /// `ranks[r]` holds rank `r`'s per-layer stores; each rank thread
+    /// `ranks[r]` holds rank `r`'s per-layer caches; each rank thread
     /// locks only its own entry during a fabric session.
-    ranks: Vec<Mutex<Vec<KvStore>>>,
+    ranks: Vec<Mutex<Vec<PagedKvCache>>>,
     heuristic_ctx: SystemContext,
     sessions: BTreeMap<u64, SessionState>,
     /// When set, every turn runs under a `CheckedFabric` that validates
@@ -304,10 +304,8 @@ impl TransformerEngine {
         }
         let ranks = (0..n_ranks)
             .map(|_| {
-                let stores = (0..layers)
-                    .map(|_| KvStore::new(cache_cfg, KvPrecision::F32))
-                    .collect();
-                Mutex::new(stores)
+                let caches = (0..layers).map(|_| PagedKvCache::new(cache_cfg)).collect();
+                Mutex::new(caches)
             })
             .collect();
         Ok(TransformerEngine {
@@ -347,27 +345,17 @@ impl TransformerEngine {
     /// the circulating pass-KV ring payloads (~`4d/(d+4)`× fewer bytes
     /// per hop), `Int8Total` additionally stores KV as INT8 pages and
     /// attends them in place on the pass-Q/decode hot paths. Sessions
-    /// that already hold tokens keep them: every store rebuilds (or drops)
-    /// its INT8 twin from its f32 master ([`KvStore::set_precision`]).
-    /// The twin shares the master's page geometry and limit, so it always
-    /// fits; were a rebuild ever to fail, the engine would keep its
-    /// previous precision.
+    /// that already hold tokens keep them: every cache turns its INT8
+    /// plane on (quantizing its cached tokens) or off
+    /// ([`PagedKvCache::set_int8`]).
     #[must_use]
     pub fn with_kv_precision(mut self, precision: KvPrecision) -> Self {
-        let switched = self.ranks.iter().all(|rank| {
-            lock_caches(rank)
-                .iter_mut()
-                .all(|store| store.set_precision(precision).is_ok())
-        });
-        if switched {
-            self.kv_precision = precision;
-        } else {
-            for rank in &self.ranks {
-                for store in lock_caches(rank).iter_mut() {
-                    let _ = store.set_precision(self.kv_precision);
-                }
+        for rank in &self.ranks {
+            for cache in lock_caches(rank).iter_mut() {
+                cache.set_int8(precision == KvPrecision::Int8Total);
             }
         }
+        self.kv_precision = precision;
         self
     }
 
@@ -530,7 +518,7 @@ impl TransformerEngine {
             .map(|rank| {
                 lock_caches(rank)
                     .first()
-                    .map(KvStore::stats)
+                    .map(PagedKvCache::stats)
                     .unwrap_or_default()
             })
             .collect()
@@ -817,19 +805,19 @@ impl TransformerEngine {
                 .filter_map(|&pos| tokens.get(pos - base).copied())
                 .collect();
             let t_local = positions.len();
-            let mut stores = lock_caches(&ranks[r]);
+            let mut caches = lock_caches(&ranks[r]);
             let mut x = model.embed(&local_tokens);
             for (l, block) in model.blocks().iter().enumerate() {
                 let h = rms_norm_on(pool, &x, config.norm_eps)?;
                 let (q, k, v) = project_qkv(reference, pool, block, &config, &h, positions)?;
-                stores[l].append(seq, &k, &v, positions)?;
+                caches[l].append(seq, &k, &v, positions)?;
                 let queries = vec![SeqQ {
                     q,
                     pos: positions.to_vec(),
                 }];
                 let seqs = [(seq, ring_len)];
                 let attn =
-                    attend_prefill(comm, &params, variant, &spec, &stores[l], &seqs, queries)?
+                    attend_prefill(comm, &params, variant, &spec, &caches[l], &seqs, queries)?
                         .pop()
                         .ok_or_else(|| CoreError::Internal {
                             detail: "ring returned no output for the rank's sequence".to_string(),
@@ -1065,7 +1053,7 @@ impl TransformerEngine {
         let body = move |comm: &cp_comm::Communicator<RingMsg>| {
             let r = comm.rank();
             let pool = comm.pool();
-            let mut stores = lock_caches(&ranks[r]);
+            let mut caches = lock_caches(&ranks[r]);
             let d_model = config.model_dim();
             let owned: &[(usize, u32, usize, SeqId)] =
                 assigned_ref.get(r).map(Vec::as_slice).unwrap_or(&[]);
@@ -1076,7 +1064,7 @@ impl TransformerEngine {
             // batched GEMM (continuous batching's arithmetic-intensity
             // win), append each token's KV to its session, and emit the
             // rank's query slots padded to the common slot count.
-            let owner_step = |block: &Block, h: Option<&Tensor>, store: &mut KvStore| {
+            let owner_step = |block: &Block, h: Option<&Tensor>, cache: &mut PagedKvCache| {
                 let mut slots: Vec<Option<DecodeSlot>> = Vec::with_capacity(slots_per_rank);
                 if let Some(h) = h {
                     let (q_all, k_all, v_all) =
@@ -1084,7 +1072,7 @@ impl TransformerEngine {
                     for (j, &(bid, _, pos, seq)) in owned.iter().enumerate() {
                         let k_j = k_all.slice_dim0(j..j + 1)?;
                         let v_j = v_all.slice_dim0(j..j + 1)?;
-                        store.append(seq, &k_j, &v_j, &[pos])?;
+                        cache.append(seq, &k_j, &v_j, &[pos])?;
                         slots.push(Some(DecodeSlot {
                             bid,
                             q: q_all.slice_dim0(j..j + 1)?,
@@ -1116,7 +1104,7 @@ impl TransformerEngine {
                     } else {
                         None
                     };
-                    let slots = owner_step(block, h_own.as_ref(), &mut stores[l])?;
+                    let slots = owner_step(block, h_own.as_ref(), &mut caches[l])?;
                     // KV-parallel attention: one DecodeQ AllGather + the
                     // exact merge (bitwise equal to the pass-Q ring).
                     let outs = attend_decode(
@@ -1124,7 +1112,7 @@ impl TransformerEngine {
                         &params,
                         strategy,
                         &spec,
-                        &stores[l],
+                        &caches[l],
                         &slots,
                         batch_seqs_ref,
                     )?;
@@ -1201,7 +1189,7 @@ impl TransformerEngine {
                     .as_ref()
                     .map(|x| rms_norm_on(pool, x, config.norm_eps))
                     .transpose()?;
-                let slots = owner_step(block, h.as_ref(), &mut stores[l])?;
+                let slots = owner_step(block, h.as_ref(), &mut caches[l])?;
                 // Pass-Q ring or TP-only gather over every rank's resident
                 // shard of every batched session, attended in place.
                 let outs = attend_decode(
@@ -1209,7 +1197,7 @@ impl TransformerEngine {
                     &params,
                     strategy,
                     &spec,
-                    &stores[l],
+                    &caches[l],
                     &slots,
                     batch_seqs_ref,
                 )?;

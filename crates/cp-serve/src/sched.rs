@@ -641,6 +641,7 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cp_core::KvPrecision;
     use cp_model::{Transformer, TransformerConfig};
     use cp_workload::Turn;
 
@@ -771,20 +772,26 @@ mod tests {
         // and its peers see only its exit. Its out-of-pages error must
         // still reach the scheduler, which then evicts instead of failing
         // the tick. Eight live 3-turn conversations need more than the
-        // 20 pages per (rank, layer).
-        for n_ranks in [2, 3] {
-            let model = Transformer::new(&TransformerConfig::tiny(), 14);
-            let engine = TransformerEngine::with_cache_limit(model, n_ranks, Some(20)).unwrap();
-            let mut sched = Scheduler::new(engine, SchedConfig::default());
-            for id in 0..10 {
-                sched.submit(id, 0.0, conv(&[(20, 20), (20, 20), (20, 20)]));
+        // 20 pages per (rank, layer). INT8 storage shares the f32 pages,
+        // so it runs out, evicts and drains the same way.
+        for precision in [KvPrecision::F32, KvPrecision::Int8Total] {
+            for n_ranks in [2, 3] {
+                let model = Transformer::new(&TransformerConfig::tiny(), 14);
+                let engine = TransformerEngine::with_cache_limit(model, n_ranks, Some(20))
+                    .unwrap()
+                    .with_kv_precision(precision);
+                let mut sched = Scheduler::new(engine, SchedConfig::default());
+                for id in 0..10 {
+                    sched.submit(id, 0.0, conv(&[(20, 20), (20, 20), (20, 20)]));
+                }
+                sched.run_to_completion(20_000).unwrap();
+                let m = sched.metrics();
+                let at = format!("cp={n_ranks} {precision:?}");
+                assert_eq!(m.completed, 10, "{at}");
+                assert!(m.evictions > 0, "{at}: expected preemptions");
+                // Replays decode again, but each request keeps one full output.
+                assert!(sched.outputs().iter().all(|(_, o)| o.len() == 60), "{at}");
             }
-            sched.run_to_completion(20_000).unwrap();
-            let m = sched.metrics();
-            assert_eq!(m.completed, 10, "cp={n_ranks}");
-            assert!(m.evictions > 0, "cp={n_ranks}: expected preemptions");
-            // Replays decode again, but each request keeps one full output.
-            assert!(sched.outputs().iter().all(|(_, o)| o.len() == 60));
         }
     }
 

@@ -526,9 +526,9 @@ fn int8_wire_checked_schedules_validate_quant_plans() {
 #[test]
 fn switching_to_int8_total_after_tokens_matches_int8_total_from_start() {
     // Switching to INT8 storage after a session holds tokens must build
-    // every INT8 twin from its f32 master, and a round trip through F32
-    // must not leave a stale twin behind. Scales are token-local, so a
-    // rebuilt twin is bitwise the one quantize-on-append writes. The model
+    // every cache's INT8 plane from its f32 rows, and a round trip through
+    // F32 must not leave a stale plane behind. Scales are token-local, so
+    // a rebuilt plane is bitwise the one quantize-on-append writes. The model
     // has one layer: its cached K/V are projections of the embeddings, so
     // they do not depend on the precision the pre-switch attention ran
     // at (a deeper layer's K/V would), and the decodes after the switch
